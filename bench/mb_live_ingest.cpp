@@ -5,14 +5,16 @@
 // open while the tracer is still shipping events, so every refresh races
 // with readers. This harness runs one ingest thread (BulkWire batches, a
 // Refresh after every batch) against two query threads looping the
-// dashboard mix, once with sealed segments and once with the legacy
-// rebuild-everything columnar mode (segment_docs=0, which also drops every
-// filter bitmap on each refresh). It reports the sustained ingest rate,
-// the reader-visible refresh-pause distribution, and the filter-cache
-// economy for each mode, then proves the fast path changed nothing: a
-// deterministic post-run query replay must produce byte-identical digests
-// across the segmented store, the rebuild store, a cache-disabled twin
-// (backend.filter_cache_entries=0), and the JSON query engine
+// dashboard mix, with sealed segments at the bulk size, with sealed
+// segments at the default segment_docs (65536: a long unsealed tail that
+// every refresh extends), and with a tail that never seals
+// (segment_docs=0, which also drops every filter bitmap on each refresh).
+// It reports the sustained ingest rate, the reader throughput, the
+// reader-visible refresh-pause distribution, the column rows each refresh
+// wrote per event, and the filter-cache economy for each mode, then proves
+// the fast paths changed nothing: a deterministic post-run query replay
+// must produce byte-identical digests across those stores, a cache-disabled
+// twin (backend.filter_cache_entries=0), and the JSON query engine
 // (backend.doc_values=false). Emits BENCH_mb_live_ingest.json.
 #include <atomic>
 #include <cstdint>
@@ -43,6 +45,7 @@ using backend::SearchResult;
 namespace {
 
 constexpr std::size_t kDefaultEvents = 500'000;
+constexpr std::size_t kDefaultSegmentDocs = ElasticStoreOptions{}.segment_docs;
 constexpr std::size_t kQueryThreads = 2;
 constexpr char kIndex[] = "events";
 constexpr char kSession[] = "mb-live";
@@ -198,12 +201,15 @@ struct ModeRun {
   double ingest_ms = 0.0;
   double events_per_sec = 0.0;  // sustained: batches + per-batch refreshes
   std::uint64_t query_ops = 0;  // dashboard mixes completed during ingest
+  double reader_ops_per_sec = 0.0;  // query_ops over the ingest time
   double refresh_pause_ms_p50 = 0.0;
   double refresh_pause_ms_p99 = 0.0;
   double live_cache_hit_rate = 0.0;    // over the concurrent query phase
   double replay_cache_hit_rate = 0.0;  // over the two-pass digest replay
   std::uint64_t sealed_segments = 0;
   std::uint64_t refreshes = 0;
+  double column_build_ms = 0.0;
+  double rows_written_per_event = 0.0;  // column rows refreshes wrote
   std::uint64_t digest = 0;
   std::size_t typed_rows = 0;
 };
@@ -266,6 +272,10 @@ ModeRun RunMode(const std::string& mode, ElasticStoreOptions options,
   done.store(true);
   for (std::thread& reader : readers) reader.join();
   run.query_ops = query_ops.load();
+  run.reader_ops_per_sec =
+      run.ingest_ms > 0
+          ? static_cast<double>(run.query_ops) / (run.ingest_ms / 1e3)
+          : 0.0;
 
   std::uint64_t live_hits = 0;
   std::uint64_t live_misses = 0;
@@ -275,6 +285,10 @@ ModeRun RunMode(const std::string& mode, ElasticStoreOptions options,
     run.sealed_segments = stats->sealed_segments;
     run.refreshes = stats->refreshes;
     run.typed_rows = stats->typed_rows;
+    run.column_build_ms = static_cast<double>(stats->column_build_ns) / 1e6;
+    run.rows_written_per_event =
+        static_cast<double>(stats->column_rows_written) /
+        static_cast<double>(std::max<std::size_t>(1, events));
     live_hits = stats->filter_cache_hits;
     live_misses = stats->filter_cache_misses;
     const double lookups = static_cast<double>(live_hits + live_misses);
@@ -319,9 +333,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "MACRO-BENCH: live typed ingest under %zu-thread dashboard query mix — "
-      "sealed segments vs rebuild-everything (%zu events, %zu-event bulks, "
-      "refresh per bulk, segment_docs=%zu)\n\n",
-      kQueryThreads, events, batch_size, segment_docs);
+      "sealed segments vs a tail that never seals (%zu events, %zu-event "
+      "bulks, refresh per bulk, segment_docs=%zu and %zu)\n\n",
+      kQueryThreads, events, batch_size, segment_docs, kDefaultSegmentDocs);
 
   bench::BenchReport report("mb_live_ingest");
   report.SetConfig("events", Json(static_cast<std::int64_t>(events)));
@@ -336,8 +350,11 @@ int main(int argc, char** argv) {
   segmented.shards_per_index = 4;
   segmented.segment_docs = segment_docs;
 
-  ElasticStoreOptions rebuild = segmented;
-  rebuild.segment_docs = 0;
+  ElasticStoreOptions segmented_default = segmented;
+  segmented_default.segment_docs = kDefaultSegmentDocs;
+
+  ElasticStoreOptions unsealed = segmented;
+  unsealed.segment_docs = 0;
 
   ElasticStoreOptions nocache = segmented;
   nocache.filter_cache_entries = 0;
@@ -347,9 +364,12 @@ int main(int argc, char** argv) {
   json_engine.doc_values = false;
   json_engine.typed_ingest = false;
 
-  std::printf("%-10s %-10s %-12s %-14s %-10s %-10s %-10s %-9s %-9s %-8s\n",
-              "mode", "load", "ingest_ms", "events_per_s", "query_ops",
-              "pause_p50", "pause_p99", "live_hit", "replay_hit", "sealed");
+  std::printf(
+      "%-11s %-5s %-10s %-13s %-9s %-10s %-10s %-10s %-9s %-9s %-9s "
+      "%-10s %-6s\n",
+      "mode", "load", "ingest_ms", "events_per_s", "query_ops", "reader_op/s",
+      "pause_p50", "pause_p99", "build_ms", "rows/ev", "live_hit",
+      "replay_hit", "sealed");
 
   std::vector<ModeRun> runs;
   const struct {
@@ -358,7 +378,8 @@ int main(int argc, char** argv) {
     bool concurrent;
   } kModes[] = {
       {"segmented", segmented, true},
-      {"rebuild", rebuild, true},
+      {"seg64k", segmented_default, true},
+      {"unsealed", unsealed, true},
       {"nocache", nocache, false},
       {"json", json_engine, false},
   };
@@ -367,19 +388,22 @@ int main(int argc, char** argv) {
         RunMode(spec.mode, spec.options, events, batch_size, spec.concurrent));
     const ModeRun& run = runs.back();
     std::printf(
-        "%-10s %-10s %-12.1f %-14.0f %-10llu %-10.3f %-10.3f %-9.2f %-9.2f "
-        "%-8llu\n",
+        "%-11s %-5s %-10.1f %-13.0f %-9llu %-11.0f %-10.3f %-10.3f %-9.1f "
+        "%-9.2f %-9.2f %-10.2f %-6llu\n",
         run.mode.c_str(), run.concurrent ? "2q" : "idle", run.ingest_ms,
         run.events_per_sec, static_cast<unsigned long long>(run.query_ops),
-        run.refresh_pause_ms_p50, run.refresh_pause_ms_p99,
-        run.live_cache_hit_rate, run.replay_cache_hit_rate,
+        run.reader_ops_per_sec, run.refresh_pause_ms_p50,
+        run.refresh_pause_ms_p99, run.column_build_ms,
+        run.rows_written_per_event, run.live_cache_hit_rate,
+        run.replay_cache_hit_rate,
         static_cast<unsigned long long>(run.sealed_segments));
   }
 
   const ModeRun& seg = runs[0];
-  const ModeRun& reb = runs[1];
-  const double speedup =
-      reb.events_per_sec > 0 ? seg.events_per_sec / reb.events_per_sec : 0.0;
+  const ModeRun& never = runs[2];
+  const double speedup = never.events_per_sec > 0
+                             ? seg.events_per_sec / never.events_per_sec
+                             : 0.0;
 
   for (const ModeRun& run : runs) {
     Json row = Json::MakeObject();
@@ -389,21 +413,24 @@ int main(int argc, char** argv) {
     row.Set("ingest_ms", run.ingest_ms);
     row.Set("sustained_events_per_sec", run.events_per_sec);
     row.Set("query_ops", static_cast<std::int64_t>(run.query_ops));
+    row.Set("reader_ops_per_sec", run.reader_ops_per_sec);
     row.Set("refresh_pause_ms_p50", run.refresh_pause_ms_p50);
     row.Set("refresh_pause_ms_p99", run.refresh_pause_ms_p99);
     row.Set("filter_cache_hit_rate", run.live_cache_hit_rate);
     row.Set("replay_cache_hit_rate", run.replay_cache_hit_rate);
     row.Set("sealed_segments", static_cast<std::int64_t>(run.sealed_segments));
     row.Set("refreshes", static_cast<std::int64_t>(run.refreshes));
-    row.Set("speedup_vs_rebuild", run.mode == "segmented" ? speedup : 1.0);
+    row.Set("column_build_ms", run.column_build_ms);
+    row.Set("column_rows_written_per_event", run.rows_written_per_event);
+    row.Set("speedup_vs_unsealed", run.mode == "segmented" ? speedup : 1.0);
     row.Set("digest", static_cast<std::int64_t>(run.digest));
     report.AddRow(std::move(row));
   }
   report.Write();
 
-  std::printf("\nsustained ingest, segmented vs rebuild-everything "
+  std::printf("\nsustained ingest, segmented vs never-sealed tail "
               "(both under load): %.2fx (%.0f vs %.0f events/s)\n",
-              speedup, seg.events_per_sec, reb.events_per_sec);
+              speedup, seg.events_per_sec, never.events_per_sec);
 
   bool ok = true;
   for (const ModeRun& run : runs) {
@@ -415,13 +442,14 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::printf("replay digests: %s across segmented/rebuild/nocache/json\n",
+  std::printf(
+      "replay digests: %s across segmented/seg64k/unsealed/nocache/json\n",
               ok ? "identical" : "MISMATCH");
   if (seg.replay_cache_hit_rate <= 0.0) {
     std::printf("segmented replay produced no filter-cache hits\n");
     ok = false;
   }
-  if (runs[2].replay_cache_hit_rate != 0.0) {
+  if (runs[3].replay_cache_hit_rate != 0.0) {
     std::printf("cache-disabled twin somehow hit its filter cache\n");
     ok = false;
   }

@@ -66,9 +66,13 @@ struct IndexStats {
   std::uint64_t bulk_requests = 0;
   std::uint64_t updates = 0;
   // Columnar engine: fields with doc-value columns (summed over sub-shards),
-  // cumulative time spent building columns, and filter-bitmap cache traffic.
+  // cumulative time spent building columns, column rows refreshes wrote
+  // (appended rows plus rows copied when a full buffer regrew: between one
+  // and about two per indexed row, since a refresh never copies the tail it
+  // extends), and filter-bitmap cache traffic.
   std::size_t doc_value_fields = 0;
   std::uint64_t column_build_ns = 0;
+  std::uint64_t column_rows_written = 0;
   std::uint64_t filter_cache_hits = 0;
   std::uint64_t filter_cache_misses = 0;
   std::uint64_t filter_cache_evictions = 0;

@@ -353,19 +353,18 @@ void ElasticStore::Refresh(const std::string& index_name) {
     }
   };
 
-  // Phase 1 (segmented mode): build the new rows' columns entirely
-  // off-lock. Queries keep running against the live segment lists the whole
-  // time — sealed segments are adopted by pointer, the growing tail is
-  // cloned and appended into, blocks seal at segment_docs. Nothing mutates
-  // the base lists underneath us: every mutator holds ingest_mu.
-  const bool segmented = options_.doc_values && options_.segment_docs != 0;
+  // Phase 1: build the new rows' columns entirely off-lock. Queries keep
+  // running against the live segment lists the whole time — sealed segments
+  // are adopted by pointer, the growing tail is extended past its live row
+  // count, blocks seal at segment_docs. Nothing mutates the base lists
+  // underneath us: every mutator holds ingest_mu.
   std::vector<std::unique_ptr<StagedSegmentBuild>> builds(num_shards);
-  if (segmented) {
+  if (options_.doc_values) {
     const Nanos start = SteadyClock::Instance()->NowNanos();
     per_shard([&index, &staged, &builds](std::size_t s) {
       if (staged[s].empty()) return;
-      auto build =
-          std::make_unique<StagedSegmentBuild>(index->shards[s]->segments);
+      auto build = std::make_unique<StagedSegmentBuild>(
+          index->shards[s]->segments, staged[s].size());
       std::optional<WireColumnAppender> appender;
       for (const StagedRow& row : staged[s]) {
         // A sealed block means a fresh tail ColumnSet: re-bind the appender
@@ -385,20 +384,23 @@ void ElasticStore::Refresh(const std::string& index_name) {
         static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() -
                                    start),
         std::memory_order_relaxed);
+    std::uint64_t rows_written = 0;
+    for (const auto& build : builds) {
+      if (build != nullptr) rows_written += build->rows_written();
+    }
+    index->column_rows_written.fetch_add(rows_written,
+                                         std::memory_order_relaxed);
   }
 
   // Phase 2: the exclusive window — append the row store, index JSON rows'
-  // postings, swap the staged segment lists in, publish the docids. In
-  // segmented mode the column work already happened, so this pause is
-  // bounded by the staged row count, never by index size.
+  // postings, swap the staged segment lists in, publish the docids. The
+  // column work already happened, so this pause is bounded by the staged
+  // row count, never by index size.
   std::unique_lock refresh_lock = index->LockForMutation();
   const Nanos pause_start = SteadyClock::Instance()->NowNanos();
-  per_shard([this, &index, &staged, &builds, segmented](std::size_t s) {
+  per_shard([&index, &staged, &builds](std::size_t s) {
     SubShard& shard = *index->shards[s];
     std::unique_lock shard_lock(shard.mu);
-    const bool legacy_columns = options_.doc_values && !segmented;
-    const Nanos start = SteadyClock::Instance()->NowNanos();
-    std::optional<WireColumnAppender> appender;
     for (StagedRow& row : staged[s]) {
       if (row.wire != nullptr) {
         // Typed rows get a null placeholder document and skip the
@@ -408,36 +410,14 @@ void ElasticStore::Refresh(const std::string& index_name) {
         shard.docs.emplace_back();
         shard.typed.push_back(1);
         ++shard.typed_rows;
-        if (legacy_columns) {
-          if (!appender.has_value()) {
-            appender.emplace(&shard.segments.EnsureTail().columns);
-          }
-          appender->Append(*row.wire, *row.session);
-        }
       } else {
         shard.docs.push_back(std::move(row.doc));
         shard.typed.push_back(0);
         IndexDoc(shard, row.id, shard.docs.back());
-        if (legacy_columns) {
-          shard.segments.EnsureTail().columns.AppendDoc(shard.docs.back());
-        }
       }
     }
     SortNumericsIfDirty(shard);
-    if (segmented) {
-      if (builds[s] != nullptr) builds[s]->Commit(&shard.segments);
-    } else if (legacy_columns && !staged[s].empty()) {
-      // Rebuild-everything mode: one block, grown in place under the lock,
-      // every cached bitmap stale.
-      ColumnSegment& tail = shard.segments.EnsureTail();
-      tail.columns.FinishBatch();
-      tail.cache.Clear();
-      shard.segments.NoteInPlaceGrowth();
-      index->column_build_ns.fetch_add(
-          static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() -
-                                     start),
-          std::memory_order_relaxed);
-    }
+    if (builds[s] != nullptr) builds[s]->Commit(&shard.segments);
   });
   index->next_docid = next_docid;
   index->refreshes.fetch_add(1, std::memory_order_relaxed);
@@ -798,7 +778,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
         case ValueKind::kInt:
         case ValueKind::kDouble:
           key.cls = SortKey::kNumber;
-          key.num = col->dbls[local];
+          key.num = col->dbls()[local];
           break;
         case ValueKind::kString:
           key.cls = SortKey::kString;
@@ -923,14 +903,14 @@ class ShardedAggSource final : public AggSource {
       switch (kind) {
         case ValueKind::kInt:
         case ValueKind::kDouble:
-          slice.ints[r] = col->ints[local];
-          slice.dbls[r] = col->dbls[local];
+          slice.ints[r] = col->ints()[local];
+          slice.dbls[r] = col->dbls()[local];
           break;
         case ValueKind::kString:
           slice.strs[r] = col->str(local);
           break;
         case ValueKind::kBool:
-          slice.ints[r] = col->ints[local];
+          slice.ints[r] = col->ints()[local];
           break;
         case ValueKind::kOther:
           slice.raws[r] = (*shards_[s].docs)[pos].Find(field);
@@ -1092,6 +1072,8 @@ Expected<IndexStats> ElasticStore::Stats(const std::string& index_name) const {
   stats.updates = index->updates.load(std::memory_order_relaxed);
   stats.column_build_ns =
       index->column_build_ns.load(std::memory_order_relaxed);
+  stats.column_rows_written =
+      index->column_rows_written.load(std::memory_order_relaxed);
   stats.refreshes = index->refreshes.load(std::memory_order_relaxed);
   {
     std::scoped_lock pause_lock(index->pause_mu);

@@ -64,11 +64,11 @@ struct ElasticStoreOptions {
   bool doc_values = true;
   // Rows per sealed column segment. Each sub-shard's columns are an ordered
   // list of immutable sealed blocks of exactly this many rows plus one
-  // growing tail: Refresh builds only the tail's columns, off-lock, and
-  // sealed blocks keep their filter-bitmap caches and dictionary ranks
-  // across refreshes. 0 = legacy rebuild-everything mode (one block, grown
-  // and invalidated wholesale under the exclusive lock — the bench baseline
-  // and the sim's full-rebuild parity oracle).
+  // growing tail: Refresh appends only the new rows to the tail, off-lock,
+  // and sealed blocks keep their filter-bitmap caches and dictionary ranks
+  // across refreshes. 0 = a tail that never seals (one block whose bitmap
+  // cache every refresh drops — the bench baseline and the sim's parity
+  // oracle).
   std::size_t segment_docs = 1 << 16;
   // Cached filter bitmaps per segment, evicted in LRU order. 0 disables
   // bitmap caching entirely (the drop-all-caches parity twin).
@@ -249,14 +249,15 @@ class ElasticStore : public QueryBackend {
     std::atomic<std::uint64_t> bulk_requests{0};
     std::atomic<std::uint64_t> updates{0};
     std::atomic<std::uint64_t> column_build_ns{0};
+    std::atomic<std::uint64_t> column_rows_written{0};
     std::atomic<std::uint64_t> refreshes{0};
     // Serializes mutators (Refresh, UpdateByQuery) end-to-end, so a staged
     // off-lock column build can never race another mutation of the segment
     // lists it snapshotted. Always acquired before refresh_mu.
     std::mutex ingest_mu;
     // Readers take it shared; mutators take it unique so a refresh becomes
-    // visible to queries atomically across sub-shards. With segmented
-    // columns, Refresh holds it only for the brief swap-in window.
+    // visible to queries atomically across sub-shards. Refresh holds it
+    // only for the brief swap-in window.
     mutable std::shared_mutex refresh_mu;
     // Writer-preference gate for refresh_mu: std::shared_mutex (glibc
     // rwlocks) lets a continuous stream of readers barge ahead of a waiting

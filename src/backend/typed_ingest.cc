@@ -62,30 +62,15 @@ WireColumnAppender::WireColumnAppender(ColumnSet* columns)
 
 void WireColumnAppender::SetInt(DocValueColumn* col, std::size_t pos,
                                 std::int64_t v) {
-  col->EnsureSlots(pos + 1);
-  col->kinds[pos] = static_cast<std::uint8_t>(ValueKind::kInt);
-  col->ints[pos] = v;
   // Json int members carry their double shadow for cross-type numeric
   // equality and sorting; mirror ColumnSet::DecodeMember.
-  col->dbls[pos] = static_cast<double>(v);
+  col->Set(pos, ValueKind::kInt, v, static_cast<double>(v));
 }
 
 void WireColumnAppender::SetString(DocValueColumn* col, std::size_t pos,
                                    std::string_view s) {
-  col->EnsureSlots(pos + 1);
   scratch_.assign(s.data(), s.size());
-  auto it = col->dict_lookup.find(scratch_);
-  std::uint32_t ord;
-  if (it == col->dict_lookup.end()) {
-    ord = static_cast<std::uint32_t>(col->dict.size());
-    col->dict.push_back(scratch_);
-    col->dict_lookup.emplace(scratch_, ord);
-    col->ranks_dirty = true;
-  } else {
-    ord = it->second;
-  }
-  col->kinds[pos] = static_cast<std::uint8_t>(ValueKind::kString);
-  col->ints[pos] = static_cast<std::int64_t>(ord);
+  col->Set(pos, ValueKind::kString, col->Intern(scratch_), 0.0);
 }
 
 std::size_t WireColumnAppender::Append(const tracer::WireEvent& raw,
@@ -148,19 +133,19 @@ Json MaterializeWireDoc(const ColumnSet& columns, std::size_t pos) {
   Json doc = Json::MakeObject();
   for (const std::string& field : WireDocFields()) {
     const DocValueColumn* col = columns.Find(field);
-    if (col == nullptr || col->kinds.size() <= pos) continue;
+    if (col == nullptr || col->size() <= pos) continue;
     switch (col->kind(pos)) {
       case ValueKind::kInt:
-        doc.Set(field, col->ints[pos]);
+        doc.Set(field, col->ints()[pos]);
         break;
       case ValueKind::kString:
         doc.Set(field, std::string(col->str(pos)));
         break;
       case ValueKind::kDouble:
-        doc.Set(field, col->dbls[pos]);
+        doc.Set(field, col->dbls()[pos]);
         break;
       case ValueKind::kBool:
-        doc.Set(field, col->ints[pos] != 0);
+        doc.Set(field, col->ints()[pos] != 0);
         break;
       case ValueKind::kMissing:
       case ValueKind::kOther:  // never written by the typed appender

@@ -1322,6 +1322,7 @@ Expected<backend::IndexStats> ClusterRouter::Stats(
     stats.typed_rows += sub->typed_rows;
     stats.doc_value_fields += sub->doc_value_fields;
     stats.column_build_ns += sub->column_build_ns;
+    stats.column_rows_written += sub->column_rows_written;
     stats.filter_cache_hits += sub->filter_cache_hits;
     stats.filter_cache_misses += sub->filter_cache_misses;
     stats.filter_cache_evictions += sub->filter_cache_evictions;

@@ -22,6 +22,8 @@ Json SessionInfo::ToJson() const {
   out.Set("transport_stages", transport_stages);
   if (cluster_health.is_object()) out.Set("cluster", cluster_health);
   if (filter_cache.is_object()) out.Set("filter_cache", filter_cache);
+  out.Set("column_rows_written",
+          static_cast<std::int64_t>(column_rows_written));
   return out;
 }
 
@@ -186,6 +188,7 @@ SessionInfo DioService::SnapshotLocked(const Session& session) const {
     cache.Set("evictions",
               static_cast<std::int64_t>(stats->filter_cache_evictions));
     info.filter_cache = cache;
+    info.column_rows_written = stats->column_rows_written;
   }
   return info;
 }

@@ -70,6 +70,10 @@ struct SessionInfo {
   // (hits/misses/evictions across segments and, in a cluster, nodes). Null
   // until the session's index exists.
   Json filter_cache;
+  // Column rows the backend's refreshes wrote for this session's index:
+  // appended rows plus rows copied when a column buffer regrew (see
+  // IndexStats::column_rows_written).
+  std::uint64_t column_rows_written = 0;
 
   [[nodiscard]] Json ToJson() const;
 };

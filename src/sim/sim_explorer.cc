@@ -15,10 +15,11 @@
 // route; every invariant must hold identically on both.
 //
 // --segment-docs=N sets the sealed-segment size of the run's stores
-// (backend.segment_docs; 0 = legacy rebuild-everything columnar mode).
+// (backend.segment_docs; 0 = one column segment that never seals).
 // The sim default is deliberately tiny (32) so seal boundaries fall mid-
 // run; in cluster mode the restore oracle always runs with segment_docs=0,
-// making the scattered-vs-restored parity a segments-vs-rebuild oracle.
+// making the scattered-vs-restored parity a sealed-vs-single-segment
+// oracle.
 //
 // --cluster=N runs every seed against an N-node ClusterRouter backend
 // (--replicas and --ack pick the replication factor and ack level): the

@@ -393,9 +393,9 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
   store_options.segment_docs = options.segment_docs;
   // In cluster mode `store` only serves the post-run spool restore (the
   // single-store oracle the scattered query results are compared against);
-  // it always runs with segment_docs=0 (the rebuild-everything columnar
-  // mode) so the restored-vs-scattered parity invariant is also a
-  // sealed-segments-vs-full-rebuild oracle. The live backend is the
+  // it always runs with segment_docs=0 (one column segment that never
+  // seals) so the restored-vs-scattered parity invariant is also a
+  // sealed-segments-vs-single-segment oracle. The live backend is the
   // router's node stores, which take the configured segment size.
   backend::ElasticStoreOptions oracle_options = store_options;
   if (options.cluster_nodes > 0) oracle_options.segment_docs = 0;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,19 +187,24 @@ TEST(StoreConcurrencyTest, SerialEngineHammer) {
   EXPECT_EQ(*store.Count("s", Query::MatchAll()), 200u);
 }
 
-// Off-lock staged-refresh hammer: typed wire ingest with a tiny
-// segment_docs so every few batches cross a seal boundary while readers
-// run. The writer's Phase-1 column build (tail clone + appends) happens
-// with no lock held — TSan must see no race between it and readers walking
-// the live segment list, and sealed-segment bitmap reuse across refreshes
-// must never produce an out-of-bounds count.
+// Off-lock staged-refresh hammer: typed wire ingest while readers run. The
+// writer's Phase-1 column build happens with no lock held, and with
+// segment_docs = 64 and five rows per shard per refresh every tail is
+// extended across many refreshes: the build appends into the slot buffers
+// the readers are scanning, regrows them as the tail passes each capacity
+// level (8, 16, 32, 64), and adds a new path string every batch, so the
+// shared string buffers grow and new rank tables are merged under the
+// readers' feet.
+// TSan must see no race between the build and readers walking the live
+// segment list, and every answer a reader gets must be byte-identical to
+// the same query against a quiesced replay of the stream at the same
+// refresh.
 TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   ElasticStoreOptions options;
   options.shards_per_index = 4;
   options.query_threads = 2;
-  options.segment_docs = 16;
+  options.segment_docs = 64;
   options.filter_cache_entries = 8;  // small: eviction runs concurrently too
-  ElasticStore store(options);
 
   constexpr int kBatches = 50;
   constexpr int kBatchSize = 20;
@@ -218,41 +224,108 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
     e.time_exit = e.time_enter + 50 + docnum % 7;
     e.ret = docnum % 16 == 0 ? -5 : docnum % 128;
     if (docnum % 4 != 0) {
-      const std::string path = "/data/db/sstable-" + std::to_string(docnum % 7);
+      // One new string per batch grows a dictionary on every refresh.
+      const std::string path =
+          docnum % 4 == 1
+              ? "/data/db/wal-" + std::to_string(docnum / kBatchSize)
+              : "/data/db/sstable-" + std::to_string(docnum % 7);
       e.path_len = tracer::WireEvent::FillString(e.path, tracer::kWirePathCap,
                                                  path, &e.path_trunc);
     }
     return e;
   };
+  auto ingest = [&wire](ElasticStore& store, int b) {
+    std::vector<tracer::WireEvent> batch;
+    for (int i = 0; i < kBatchSize; ++i) {
+      batch.push_back(wire(b * kBatchSize + i));
+    }
+    store.BulkWire("seg", "hammer", std::move(batch));
+    store.Refresh("seg");
+  };
+  auto flag_fsyncs = [](ElasticStore& store) {
+    return store.UpdateByQuery("seg", Query::Term("syscall", "fsync"),
+                               [](Json& d) {
+                                 if (d.Has("flagged")) return false;
+                                 d.Set("flagged", true);
+                                 return true;
+                               });
+  };
+  // Two self-keyed reads: each answer carries the number of documents its
+  // snapshot held (MatchAll total / summed syscall buckets), and neither
+  // depends on the update-by-query's "flagged" member, so a quiesced
+  // replay pins the expected answer per refresh.
+  auto sorted_window = [](const ElasticStore& store, std::size_t* docs) {
+    SearchRequest request;
+    request.sort = {{"path", false}, {"time_enter", true}};
+    request.size = 12;
+    auto result = store.Search("seg", request);
+    if (!result.ok()) return std::string("error");
+    *docs = result->total;
+    std::string out = std::to_string(result->total);
+    for (const Hit& hit : result->hits) {
+      out += " " + std::to_string(hit.id) + ":" +
+             hit.source.GetString("path") + ":" +
+             std::to_string(hit.source.GetInt("time_enter"));
+    }
+    return out;
+  };
+  auto path_terms = [](const ElasticStore& store, std::size_t* docs) {
+    auto agg = store.Aggregate(
+        "seg", Query::Prefix("syscall", ""),
+        Aggregation::Terms("syscall").SubAgg(
+            "paths", Aggregation::Terms("path", 0)));
+    if (!agg.ok()) return std::string("error");
+    std::size_t total = 0;
+    std::string out;
+    for (const AggBucket& bucket : agg->buckets) {
+      total += static_cast<std::size_t>(bucket.doc_count);
+      out += bucket.key.Dump() + "=" + std::to_string(bucket.doc_count) + "[";
+      for (const AggBucket& sub : bucket.sub.at("paths").buckets) {
+        out += sub.key.Dump() + ":" + std::to_string(sub.doc_count) + ",";
+      }
+      out += "]";
+    }
+    *docs = total;
+    return out;
+  };
 
+  // Quiesced replay: the same stream, one refresh at a time with no reader
+  // running, recording each read's answer per visible document count.
+  std::map<std::size_t, std::string> expected_window;
+  std::map<std::size_t, std::string> expected_terms;
+  {
+    ElasticStore quiet(options);
+    for (int b = 0; b < kBatches; ++b) {
+      ingest(quiet, b);
+      std::size_t docs = 0;
+      const std::string window = sorted_window(quiet, &docs);
+      expected_window[docs] = window;
+      const std::string terms = path_terms(quiet, &docs);
+      expected_terms[docs] = terms;
+      if (b % 10 == 9) EXPECT_TRUE(flag_fsyncs(quiet).ok());
+    }
+  }
+
+  ElasticStore store(options);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> visible{0};
 
   std::thread writer([&] {
-    int docnum = 0;
     for (int b = 0; b < kBatches; ++b) {
-      std::vector<tracer::WireEvent> batch;
-      for (int i = 0; i < kBatchSize; ++i) batch.push_back(wire(docnum++));
-      store.BulkWire("seg", "hammer", std::move(batch));
-      store.Refresh("seg");
-      visible.store(static_cast<std::size_t>(docnum),
+      ingest(store, b);
+      visible.store(static_cast<std::size_t>((b + 1) * kBatchSize),
                     std::memory_order_release);
       if (b % 10 == 9) {
         // Rewrites rows inside sealed blocks while readers hold their
         // cached bitmaps; only the touched segments may drop caches.
-        auto updated = store.UpdateByQuery(
-            "seg", Query::Term("syscall", "fsync"), [](Json& d) {
-              if (d.Has("flagged")) return false;
-              d.Set("flagged", true);
-              return true;
-            });
-        EXPECT_TRUE(updated.ok());
+        EXPECT_TRUE(flag_fsyncs(store).ok());
       }
     }
     stop.store(true);
   });
 
   std::vector<std::thread> readers;
+  std::atomic<std::uint64_t> compared{0};
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
       constexpr std::uint64_t kMaxIterations = 20'000;
@@ -268,24 +341,36 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
           EXPECT_GE(*count, floor);
           EXPECT_LE(*count, kTotalDocs);
         }
-        if ((iterations + static_cast<std::uint64_t>(r)) % 2 == 0) {
-          // Cached column predicate: hits sealed-segment bitmaps that
-          // survive the concurrent refreshes.
-          auto failed = store.Count(
-              "seg", Query::Range("ret", std::numeric_limits<std::int64_t>::min(),
-                                  -1));
-          if (failed.ok()) EXPECT_LE(*failed, kTotalDocs);
-        } else {
-          SearchRequest request;
-          request.query = Query::Prefix("path", "/data/db/sstable-");
-          request.sort = {{"time_enter", false}};
-          request.size = 30;
-          auto result = store.Search("seg", request);
-          if (result.ok()) {
-            for (std::size_t i = 1; i < result->hits.size(); ++i) {
-              EXPECT_GE(result->hits[i - 1].source.GetInt("time_enter"),
-                        result->hits[i].source.GetInt("time_enter"));
-            }
+        switch ((iterations + static_cast<std::uint64_t>(r)) % 3) {
+          case 0: {
+            // Cached column predicate: hits sealed-segment bitmaps that
+            // survive the concurrent refreshes.
+            auto failed = store.Count(
+                "seg",
+                Query::Range("ret", std::numeric_limits<std::int64_t>::min(),
+                             -1));
+            if (failed.ok()) EXPECT_LE(*failed, kTotalDocs);
+            break;
+          }
+          case 1: {
+            std::size_t docs = 0;
+            const std::string got = sorted_window(store, &docs);
+            if (docs == 0) break;  // index created, nothing refreshed yet
+            auto it = expected_window.find(docs);
+            ASSERT_NE(it, expected_window.end()) << "docs " << docs;
+            EXPECT_EQ(got, it->second) << "docs " << docs;
+            compared.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+          default: {
+            std::size_t docs = 0;
+            const std::string got = path_terms(store, &docs);
+            if (docs == 0) break;
+            auto it = expected_terms.find(docs);
+            ASSERT_NE(it, expected_terms.end()) << "docs " << docs;
+            EXPECT_EQ(got, it->second) << "docs " << docs;
+            compared.fetch_add(1, std::memory_order_relaxed);
+            break;
           }
         }
       }
@@ -295,6 +380,7 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   writer.join();
   for (std::thread& reader : readers) reader.join();
 
+  EXPECT_GT(compared.load(), 0u);
   EXPECT_EQ(*store.Count("seg", Query::MatchAll()), kTotalDocs);
   auto stats = store.Stats("seg");
   ASSERT_TRUE(stats.ok());
@@ -305,6 +391,8 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   EXPECT_LE(stats->typed_rows, kTotalDocs);
   EXPECT_GT(stats->sealed_segments, 0u);
   EXPECT_EQ(stats->refreshes, static_cast<std::uint64_t>(kBatches));
+  // The tails regrew on the way to each seal.
+  EXPECT_GT(stats->column_rows_written, kTotalDocs);
 }
 
 }  // namespace

@@ -275,6 +275,13 @@ TEST_F(ServiceTest, SessionInfoCarriesTransportCounters) {
   EXPECT_EQ(stages[1].GetString("stage"), "bulk");
   // Lossless default chain: the queue handed everything to the bulk sink.
   EXPECT_EQ(stages[0].GetInt("events_in"), stages[1].GetInt("events_out"));
+  // The backend's refresh cost rides along: every indexed event's column
+  // row was written at least once, and buffer regrowth at most doubles it.
+  const auto indexed = static_cast<std::int64_t>(
+      *store_.Count("stats", backend::Query::MatchAll()));
+  EXPECT_GT(indexed, 0);
+  EXPECT_GE(j.GetInt("column_rows_written"), indexed);
+  EXPECT_LE(j.GetInt("column_rows_written"), 2 * indexed);
 }
 
 TEST_F(ServiceTest, BadTransportConfigRejectedAtStart) {
