@@ -1,13 +1,14 @@
 // Macro-benchmark: wire-record ingest to searchable, typed vs JSON route.
 //
-// The aggregate-mode tracer ships raw WireEvent records; at the store
-// boundary they either become JSON documents first (the historical route,
-// `backend.typed_ingest=false`) or go straight into doc-value columns
-// (the typed route). This harness replays the same deterministic synthetic
-// wire stream into both stores in bulk batches, refreshes to searchable,
-// and reports events/s for each route plus a cross-route query checksum
-// (identical results are the typed route's correctness contract; the full
-// byte-level proof lives in typed_ingest_parity_test). Emits
+// The aggregate-mode tracer ships raw WireEvent records; the store ingests
+// them straight into doc-value columns (BulkWire, the typed route). The
+// JSON route this harness compares against materializes each record with
+// tracer::WireEventToJson and ingests the documents through Bulk, the way
+// the historical pipeline did. It replays the same deterministic synthetic
+// wire stream through both routes in bulk batches, refreshes to
+// searchable, and reports events/s for each route plus a cross-route query
+// checksum (identical results are the typed route's correctness contract;
+// the full byte-level proof lives in typed_ingest_parity_test). Emits
 // BENCH_mb_ingest.json.
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include "bench/harness_util.h"
 #include "common/clock.h"
 #include "common/random.h"
+#include "tracer/event.h"
 #include "tracer/wire.h"
 
 using namespace dio;
@@ -155,11 +157,25 @@ struct RouteRun {
 RouteRun RunRoute(const std::string& route, std::size_t events) {
   ElasticStoreOptions options;
   options.shards_per_index = 4;
-  options.typed_ingest = route == "typed";
   ElasticStore store(options);
 
   RouteRun run;
   run.route = route;
+
+  // One bulk request per batch: typed records as they are, or each record
+  // materialized to its JSON document first.
+  const auto ship = [&store, &route](std::vector<tracer::WireEvent> batch) {
+    if (route == "typed") {
+      store.BulkWire(kIndex, kSession, std::move(batch));
+      return;
+    }
+    std::vector<Json> documents;
+    documents.reserve(batch.size());
+    for (const tracer::WireEvent& record : batch) {
+      documents.push_back(tracer::WireEventToJson(record, kSession));
+    }
+    store.Bulk(kIndex, std::move(documents));
+  };
 
   Random rng(42);
   std::vector<tracer::WireEvent> batch;
@@ -168,12 +184,12 @@ RouteRun RunRoute(const std::string& route, std::size_t events) {
   for (std::size_t i = 0; i < events; ++i) {
     batch.push_back(MakeEvent(rng, i));
     if (batch.size() == kBatch) {
-      store.BulkWire(kIndex, kSession, std::move(batch));
+      ship(std::move(batch));
       batch.clear();
       batch.reserve(kBatch);
     }
   }
-  if (!batch.empty()) store.BulkWire(kIndex, kSession, std::move(batch));
+  if (!batch.empty()) ship(std::move(batch));
   store.Refresh(kIndex);
   run.ingest_ms = MsSince(start);
   run.events_per_sec =

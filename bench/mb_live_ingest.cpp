@@ -13,9 +13,9 @@
 // reader-visible refresh-pause distribution, the column rows each refresh
 // wrote per event, and the filter-cache economy for each mode, then proves
 // the fast paths changed nothing: a deterministic post-run query replay
-// must produce byte-identical digests across those stores, a cache-disabled
-// twin (backend.filter_cache_entries=0), and the JSON query engine
-// (backend.doc_values=false). Emits BENCH_mb_live_ingest.json.
+// must produce byte-identical digests across those stores and a
+// cache-disabled twin (backend.filter_cache_entries=0). Emits
+// BENCH_mb_live_ingest.json.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -298,8 +298,8 @@ ModeRun RunMode(const std::string& mode, ElasticStoreOptions options,
 
   // Deterministic replay, two passes: the first may miss (the live phase
   // used a moving horizon), the second must hit every cached predicate —
-  // unless the cache is disabled or the engine has none. Both passes must
-  // produce the same digest (nothing ingests between them).
+  // unless the cache is disabled. Both passes must produce the same digest
+  // (nothing ingests between them).
   std::string digest_a;
   std::string digest_b;
   DashboardMix(store, events, &digest_a);
@@ -359,11 +359,6 @@ int main(int argc, char** argv) {
   ElasticStoreOptions nocache = segmented;
   nocache.filter_cache_entries = 0;
 
-  ElasticStoreOptions json_engine;
-  json_engine.shards_per_index = 4;
-  json_engine.doc_values = false;
-  json_engine.typed_ingest = false;
-
   std::printf(
       "%-11s %-5s %-10s %-13s %-9s %-10s %-10s %-10s %-9s %-9s %-9s "
       "%-10s %-6s\n",
@@ -381,7 +376,6 @@ int main(int argc, char** argv) {
       {"seg64k", segmented_default, true},
       {"unsealed", unsealed, true},
       {"nocache", nocache, false},
-      {"json", json_engine, false},
   };
   for (const auto& spec : kModes) {
     runs.push_back(
@@ -443,7 +437,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "replay digests: %s across segmented/seg64k/unsealed/nocache/json\n",
+      "replay digests: %s across segmented/seg64k/unsealed/nocache\n",
               ok ? "identical" : "MISMATCH");
   if (seg.replay_cache_hit_rate <= 0.0) {
     std::printf("segmented replay produced no filter-cache hits\n");

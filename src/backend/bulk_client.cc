@@ -33,10 +33,10 @@ Status BulkClient::Submit(transport::EventBatch batch) {
   clock_->SleepFor(options_.network_latency_ns);
   const std::size_t batch_events = batch.size();
   if (!batch.wire.empty()) {
-    // Typed route: the wire records go to the store as-is; whether they
-    // become columns directly or JSON documents is the store's
-    // backend.typed_ingest decision. Any Event/document payload riding the
-    // same batch still takes the JSON route below.
+    // Typed route: the wire records go to the store as-is and become
+    // doc-value columns at Refresh, with no JSON document in between. Any
+    // Event/document payload riding the same batch takes the JSON route
+    // below.
     store_->BulkWire(index_, batch.session, std::move(batch.wire));
     batch.wire.clear();
   }

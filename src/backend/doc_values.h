@@ -15,13 +15,12 @@
 //     rewrites slots in place).
 //   * CompiledQuery — a Query tree resolved against one ColumnSet: column
 //     pointers looked up once, string terms translated to dictionary
-//     ordinals, prefix predicates to rank ranges. `Matches(pos)` is the
-//     column-aware replica of `Query::Matches(doc)` and must agree with it
-//     bit-for-bit (the serial JSON engine stays the parity oracle).
-//   * FilterBitmap / FilterBitmapCache — dense per-shard match bitmaps for
-//     scan-path predicates (exists / must_not / bool trees with no indexable
-//     clause), cached per query text and invalidated on every visibility
-//     change, in the spirit of Lucene's cached filter bitsets.
+//     ordinals, prefix predicates to rank ranges. Its match bitmap must
+//     agree bit-for-bit with `Query::Matches(doc)` per document (the parity
+//     suites check it against a reference model in tests/support/).
+//   * FilterBitmap / FilterBitmapCache — dense per-segment match bitmaps,
+//     one per leaf predicate, cached per query text and invalidated when the
+//     segment's rows change, in the spirit of Lucene's cached filter bitsets.
 #pragma once
 
 #include <bit>
@@ -310,7 +309,7 @@ class FilterBitmap {
   std::vector<std::uint64_t> words_;
 };
 
-// Per-segment cache of scan-path predicate bitmaps, keyed by the
+// Per-segment cache of leaf-predicate bitmaps, keyed by the
 // predicate's ToString form. A cached bitmap covers exactly the rows of the
 // segment it belongs to, so it stays valid for as long as those rows do:
 // sealed segments keep their entries across refreshes, the growing tail's
@@ -360,14 +359,10 @@ class CompiledQuery {
  public:
   CompiledQuery(const Query& query, const ColumnSet& columns);
 
-  // Column-aware replica of query.Matches(doc): reads the columns for every
-  // scalar value and falls back to `doc` only for kOther slots. Must return
-  // exactly what the JSON oracle returns.
-  [[nodiscard]] bool Matches(std::size_t pos, const Json& doc) const;
-
-  // Scan-path evaluation: the match bitmap over all `docs` slots, built
-  // from cached per-predicate bitmaps where possible. Equivalent to calling
-  // Matches(pos, docs[pos]) for every slot.
+  // The match bitmap over all `docs` slots, built from cached
+  // per-predicate bitmaps where possible. Reads the columns for every
+  // scalar value and falls back to `docs[pos]` only for kOther slots; the
+  // result is exactly query.Matches(docs[pos]) for every slot.
   [[nodiscard]] FilterBitmap Eval(std::span<const Json> docs,
                                   FilterBitmapCache* cache) const;
 

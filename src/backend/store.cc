@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <condition_variable>
 #include <fstream>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <thread>
 
 #include "backend/simd_kernels.h"
 #include "backend/typed_ingest.h"
-#include "tracer/event.h"
 
 namespace dio::backend {
 
@@ -74,9 +72,9 @@ Expected<SearchRequest> SearchRequest::FromJsonText(
 
 ElasticStoreOptions ElasticStoreOptions::FromConfig(const Config& config) {
   WarnUnknownKeys(config, "backend",
-                  {"shards_per_index", "query_threads", "doc_values",
-                   "typed_ingest", "simd_kernels", "max_result_window",
-                   "segment_docs", "filter_cache_entries"});
+                  {"shards_per_index", "query_threads", "simd_kernels",
+                   "max_result_window", "segment_docs",
+                   "filter_cache_entries"});
   ElasticStoreOptions opts;
   opts.shards_per_index = static_cast<std::size_t>(std::max<std::int64_t>(
       1, config.GetInt("backend.shards_per_index",
@@ -84,9 +82,6 @@ ElasticStoreOptions ElasticStoreOptions::FromConfig(const Config& config) {
   opts.query_threads = static_cast<std::size_t>(std::max<std::int64_t>(
       0, config.GetInt("backend.query_threads",
                        static_cast<std::int64_t>(opts.query_threads))));
-  opts.doc_values = config.GetBool("backend.doc_values", opts.doc_values);
-  opts.typed_ingest =
-      config.GetBool("backend.typed_ingest", opts.typed_ingest);
   opts.simd_kernels =
       config.GetBool("backend.simd_kernels", opts.simd_kernels);
   opts.max_result_window = static_cast<std::size_t>(std::max<std::int64_t>(
@@ -224,17 +219,6 @@ void ElasticStore::Bulk(const std::string& index_name,
 void ElasticStore::BulkWire(const std::string& index_name,
                             std::string_view session,
                             std::vector<tracer::WireEvent> records) {
-  if (!options_.typed_ingest || !options_.doc_values) {
-    // Parity fallback: same documents, same docids, same everything — the
-    // typed route only changes how the fields reach the columns.
-    std::vector<Json> documents;
-    documents.reserve(records.size());
-    for (const tracer::WireEvent& record : records) {
-      documents.push_back(tracer::WireEventToJson(record, session));
-    }
-    Bulk(index_name, std::move(documents));
-    return;
-  }
   const std::shared_ptr<Index> index = FindOrCreate(index_name);
   index->bulk_requests.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t seq =
@@ -243,46 +227,6 @@ void ElasticStore::BulkWire(const std::string& index_name,
   std::scoped_lock lock(lane.mu);
   lane.batches.push_back(
       PendingBatch{seq, {}, std::move(records), std::string(session)});
-}
-
-std::string ElasticStore::TermKey(const Json& value) {
-  switch (value.type()) {
-    case Json::Type::kString: return "s:" + value.as_string();
-    case Json::Type::kInt: return "i:" + std::to_string(value.as_int());
-    case Json::Type::kDouble: {
-      // Integral doubles share the int key so term queries match across
-      // numeric types (like ES numeric coercion).
-      const double d = value.as_double();
-      const auto i = static_cast<std::int64_t>(d);
-      if (static_cast<double>(i) == d) return "i:" + std::to_string(i);
-      return "d:" + std::to_string(d);
-    }
-    case Json::Type::kBool: return value.as_bool() ? "b:1" : "b:0";
-    default: return "j:" + value.Dump();
-  }
-}
-
-void ElasticStore::IndexDoc(SubShard& shard, DocId id, const Json& doc) {
-  if (!doc.is_object()) return;
-  for (const JsonMember& member : doc.as_object()) {
-    const std::string& field = member.first;
-    const Json& value = member.second;
-    if (value.is_array() || value.is_object() || value.is_null()) continue;
-    auto& postings = shard.terms[field][TermKey(value)];
-    if (postings.empty() || postings.back() != id) postings.push_back(id);
-    if (value.is_number()) {
-      shard.numerics[field].emplace_back(value.as_int(), id);
-      shard.numerics_dirty = true;
-    }
-  }
-}
-
-void ElasticStore::SortNumericsIfDirty(SubShard& shard) {
-  if (!shard.numerics_dirty) return;
-  for (auto& [field, entries] : shard.numerics) {
-    std::sort(entries.begin(), entries.end());
-  }
-  shard.numerics_dirty = false;
 }
 
 void ElasticStore::Refresh(const std::string& index_name) {
@@ -312,7 +256,6 @@ void ElasticStore::Refresh(const std::string& index_name) {
   // batch's wire records plus its session label. Reading next_docid without
   // refresh_mu is safe: only refreshes advance it, and they hold ingest_mu.
   struct StagedRow {
-    DocId id = 0;
     Json doc;
     const tracer::WireEvent* wire = nullptr;
     const std::string* session = nullptr;
@@ -329,96 +272,82 @@ void ElasticStore::Refresh(const std::string& index_name) {
     for (Json& doc : batch.docs) {
       const DocId id = next_docid++;
       staged[static_cast<std::size_t>(id) % num_shards].push_back(
-          StagedRow{id, std::move(doc), nullptr, nullptr});
+          StagedRow{std::move(doc), nullptr, nullptr});
     }
     for (const tracer::WireEvent& record : batch.wire) {
       const DocId id = next_docid++;
       staged[static_cast<std::size_t>(id) % num_shards].push_back(
-          StagedRow{id, Json(), &record, &batch.session});
+          StagedRow{Json(), &record, &batch.session});
     }
   }
 
-  // Per-shard fan-out used by both phases — parallel when the batch is big
-  // enough to pay for the threads.
+  // Phase 1: build the new rows' columns entirely off-lock, one thread per
+  // sub-shard when the batch is big enough to pay for the threads. Queries
+  // keep running against the live segment lists the whole time — sealed
+  // segments are adopted by pointer, the growing tail is extended past its
+  // live row count, blocks seal at segment_docs. Nothing mutates the base
+  // lists underneath us: every mutator holds ingest_mu.
   constexpr std::size_t kParallelRefreshThreshold = 4096;
-  const auto per_shard = [&](const std::function<void(std::size_t)>& fn) {
-    if (total >= kParallelRefreshThreshold && num_shards > 1 &&
-        std::thread::hardware_concurrency() > 1) {
-      std::vector<std::thread> workers;
-      workers.reserve(num_shards);
-      for (std::size_t s = 0; s < num_shards; ++s) workers.emplace_back(fn, s);
-      for (std::thread& worker : workers) worker.join();
-    } else {
-      for (std::size_t s = 0; s < num_shards; ++s) fn(s);
-    }
-  };
-
-  // Phase 1: build the new rows' columns entirely off-lock. Queries keep
-  // running against the live segment lists the whole time — sealed segments
-  // are adopted by pointer, the growing tail is extended past its live row
-  // count, blocks seal at segment_docs. Nothing mutates the base lists
-  // underneath us: every mutator holds ingest_mu.
   std::vector<std::unique_ptr<StagedSegmentBuild>> builds(num_shards);
-  if (options_.doc_values) {
-    const Nanos start = SteadyClock::Instance()->NowNanos();
-    per_shard([&index, &staged, &builds](std::size_t s) {
-      if (staged[s].empty()) return;
-      auto build = std::make_unique<StagedSegmentBuild>(
-          index->shards[s]->segments, staged[s].size());
-      std::optional<WireColumnAppender> appender;
-      for (const StagedRow& row : staged[s]) {
-        // A sealed block means a fresh tail ColumnSet: re-bind the appender
-        // (it caches column pointers into one set).
-        if (build->PrepareRow()) appender.reset();
-        if (row.wire != nullptr) {
-          if (!appender.has_value()) appender.emplace(&build->tail());
-          appender->Append(*row.wire, *row.session);
-        } else {
-          build->tail().AppendDoc(row.doc);
-        }
+  const auto build_shard = [&index, &staged, &builds](std::size_t s) {
+    if (staged[s].empty()) return;
+    auto build = std::make_unique<StagedSegmentBuild>(
+        index->shards[s]->segments, staged[s].size());
+    std::optional<WireColumnAppender> appender;
+    for (const StagedRow& row : staged[s]) {
+      // A sealed block means a fresh tail ColumnSet: re-bind the appender
+      // (it caches column pointers into one set).
+      if (build->PrepareRow()) appender.reset();
+      if (row.wire != nullptr) {
+        if (!appender.has_value()) appender.emplace(&build->tail());
+        appender->Append(*row.wire, *row.session);
+      } else {
+        build->tail().AppendDoc(row.doc);
       }
-      build->Finish();
-      builds[s] = std::move(build);
-    });
-    index->column_build_ns.fetch_add(
-        static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() -
-                                   start),
-        std::memory_order_relaxed);
-    std::uint64_t rows_written = 0;
-    for (const auto& build : builds) {
-      if (build != nullptr) rows_written += build->rows_written();
     }
-    index->column_rows_written.fetch_add(rows_written,
-                                         std::memory_order_relaxed);
+    build->Finish();
+    builds[s] = std::move(build);
+  };
+  const Nanos start = SteadyClock::Instance()->NowNanos();
+  if (total >= kParallelRefreshThreshold && num_shards > 1 &&
+      std::thread::hardware_concurrency() > 1) {
+    std::vector<std::thread> workers;
+    workers.reserve(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      workers.emplace_back(build_shard, s);
+    }
+    for (std::thread& worker : workers) worker.join();
+  } else {
+    for (std::size_t s = 0; s < num_shards; ++s) build_shard(s);
   }
+  index->column_build_ns.fetch_add(
+      static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() - start),
+      std::memory_order_relaxed);
+  std::uint64_t rows_written = 0;
+  for (const auto& build : builds) {
+    if (build != nullptr) rows_written += build->rows_written();
+  }
+  index->column_rows_written.fetch_add(rows_written,
+                                       std::memory_order_relaxed);
 
-  // Phase 2: the exclusive window — append the row store, index JSON rows'
-  // postings, swap the staged segment lists in, publish the docids. The
-  // column work already happened, so this pause is bounded by the staged
-  // row count, never by index size.
+  // Phase 2: the exclusive window — append the row store, swap the staged
+  // segment lists in, publish the docids. The column work already
+  // happened, so this pause is bounded by the staged row count, never by
+  // index size.
   std::unique_lock refresh_lock = index->LockForMutation();
   const Nanos pause_start = SteadyClock::Instance()->NowNanos();
-  per_shard([&index, &staged, &builds](std::size_t s) {
+  for (std::size_t s = 0; s < num_shards; ++s) {
     SubShard& shard = *index->shards[s];
     std::unique_lock shard_lock(shard.mu);
     for (StagedRow& row : staged[s]) {
-      if (row.wire != nullptr) {
-        // Typed rows get a null placeholder document and skip the
-        // term/numeric indexes entirely — that skip is the bulk of the
-        // typed route's win, paid for by forcing the scan path while the
-        // shard holds typed rows.
-        shard.docs.emplace_back();
-        shard.typed.push_back(1);
-        ++shard.typed_rows;
-      } else {
-        shard.docs.push_back(std::move(row.doc));
-        shard.typed.push_back(0);
-        IndexDoc(shard, row.id, shard.docs.back());
-      }
+      // Typed rows keep a null placeholder document: their fields live
+      // only in the columns.
+      shard.docs.push_back(std::move(row.doc));
+      shard.typed.push_back(row.wire != nullptr ? 1 : 0);
+      if (row.wire != nullptr) ++shard.typed_rows;
     }
-    SortNumericsIfDirty(shard);
     if (builds[s] != nullptr) builds[s]->Commit(&shard.segments);
-  });
+  }
   index->next_docid = next_docid;
   index->refreshes.fetch_add(1, std::memory_order_relaxed);
   const auto pause_ns = static_cast<std::uint64_t>(
@@ -438,176 +367,23 @@ void ElasticStore::RefreshAll() {
   for (const std::string& name : ListIndices()) Refresh(name);
 }
 
-namespace {
-
-std::vector<DocId> Intersect(std::vector<DocId> a, std::vector<DocId> b) {
-  std::vector<DocId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<DocId> Union(std::vector<DocId> a, std::vector<DocId> b) {
-  std::vector<DocId> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-std::vector<DocId> Dedup(std::vector<DocId> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-}  // namespace
-
-std::optional<std::vector<DocId>> ElasticStore::Candidates(
-    const SubShard& shard, const Query& query) {
-  switch (query.type()) {
-    case Query::Type::kTerm:
-    case Query::Type::kTerms: {
-      auto field_it = shard.terms.find(query.field());
-      if (field_it == shard.terms.end()) return std::vector<DocId>{};
-      std::vector<DocId> out;
-      for (const Json& value : query.values()) {
-        auto term_it = field_it->second.find(TermKey(value));
-        if (term_it != field_it->second.end()) {
-          out = Union(std::move(out), term_it->second);
-        }
-      }
-      return Dedup(std::move(out));
-    }
-    case Query::Type::kRange: {
-      if (shard.numerics_dirty) return std::nullopt;  // pending resort
-      auto field_it = shard.numerics.find(query.field());
-      if (field_it == shard.numerics.end()) return std::vector<DocId>{};
-      const auto& entries = field_it->second;
-      auto lo = entries.begin();
-      auto hi = entries.end();
-      if (query.gte().has_value()) {
-        lo = std::lower_bound(
-            entries.begin(), entries.end(),
-            std::make_pair(*query.gte(), std::numeric_limits<DocId>::min()));
-      }
-      if (query.lte().has_value()) {
-        hi = std::upper_bound(
-            entries.begin(), entries.end(),
-            std::make_pair(*query.lte(), std::numeric_limits<DocId>::max()));
-      }
-      std::vector<DocId> out;
-      out.reserve(static_cast<std::size_t>(std::distance(lo, hi)));
-      for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-      return Dedup(std::move(out));
-    }
-    case Query::Type::kPrefix: {
-      auto field_it = shard.terms.find(query.field());
-      if (field_it == shard.terms.end()) return std::vector<DocId>{};
-      // Term keys are sorted, so the matching "s:<prefix>…" terms are one
-      // contiguous range starting at lower_bound.
-      const std::string key_prefix = "s:" + query.prefix();
-      std::vector<DocId> out;
-      for (auto it = field_it->second.lower_bound(key_prefix);
-           it != field_it->second.end() && it->first.starts_with(key_prefix);
-           ++it) {
-        out = Union(std::move(out), it->second);
-      }
-      return Dedup(std::move(out));
-    }
-    case Query::Type::kAnd: {
-      std::optional<std::vector<DocId>> narrowed;
-      for (const Query& clause : query.clauses()) {
-        auto candidates = Candidates(shard, clause);
-        if (!candidates.has_value()) continue;  // clause needs a scan
-        narrowed = narrowed.has_value()
-                       ? Intersect(std::move(*narrowed),
-                                   std::move(*candidates))
-                       : std::move(*candidates);
-      }
-      return narrowed;  // nullopt if no clause was indexable
-    }
-    case Query::Type::kOr: {
-      std::vector<DocId> out;
-      for (const Query& clause : query.clauses()) {
-        auto candidates = Candidates(shard, clause);
-        if (!candidates.has_value()) return std::nullopt;  // must scan
-        out = Union(std::move(out), std::move(*candidates));
-      }
-      return out;
-    }
-    case Query::Type::kMatchAll:
-    case Query::Type::kExists:
-    case Query::Type::kNot:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 std::vector<DocId> ElasticStore::MatchingDocs(const SubShard& shard,
                                               const Query& query) {
+  // One segment at a time against that segment's bitmap cache: sealed
+  // segments answer repeated predicates from cache, so after a refresh only
+  // the tail is actually re-evaluated.
   std::vector<DocId> matches;
-  auto candidates = Candidates(shard, query);
-  if (candidates.has_value()) {
-    for (DocId id : *candidates) {
-      if (shard.Owns(id) && query.Matches(shard.DocAt(id))) {
-        matches.push_back(id);
-      }
-    }
-  } else {
-    for (std::size_t pos = 0; pos < shard.docs.size(); ++pos) {
-      if (query.Matches(shard.docs[pos])) {
-        matches.push_back(static_cast<DocId>(pos * shard.stride +
-                                             shard.shard_index));
-      }
-    }
-  }
-  return matches;
-}
-
-std::vector<DocId> ElasticStore::MatchingDocsColumnar(const SubShard& shard,
-                                                      const Query& query) {
-  std::vector<DocId> matches;
-  const SegmentedColumns& segments = shard.segments;
-  // Typed rows have no postings/numerics entries, so while the shard holds
-  // any, the candidate lists are incomplete — go straight to the scan path
-  // (the compiled bitmaps read the columns, which do cover typed rows).
-  auto candidates = shard.typed_rows == 0
-                        ? Candidates(shard, query)
-                        : std::optional<std::vector<DocId>>();
-  if (candidates.has_value()) {
-    // Candidates ascend, so the owning segment index is nondecreasing and
-    // one compiled query per touched segment suffices (term ordinals and
-    // prefix rank ranges resolve against that segment's dictionaries).
-    std::optional<CompiledQuery> compiled;
-    std::size_t current = std::numeric_limits<std::size_t>::max();
-    for (DocId id : *candidates) {
-      if (!shard.Owns(id)) continue;
-      const std::size_t pos = static_cast<std::size_t>(id) / shard.stride;
-      const std::size_t seg = segments.SegmentIndexFor(pos);
-      if (seg != current) {
-        compiled.emplace(query, segments.segments()[seg]->columns);
-        current = seg;
-      }
-      if (compiled->Matches(segments.LocalPos(pos), shard.docs[pos])) {
-        matches.push_back(id);
-      }
-    }
-  } else {
-    // Scan path, one segment at a time against that segment's bitmap
-    // cache: sealed segments answer repeated predicates from cache, so
-    // after a refresh only the tail is actually re-evaluated.
-    for (const auto& segment : segments.segments()) {
-      const CompiledQuery compiled(query, segment->columns);
-      const FilterBitmap bitmap = compiled.Eval(
-          std::span<const Json>(shard.docs.data() + segment->base,
-                                segment->rows()),
-          &segment->cache);
-      const std::size_t base = segment->base;
-      bitmap.ForEachSet([&matches, &shard, base](std::size_t local) {
-        matches.push_back(static_cast<DocId>((base + local) * shard.stride +
-                                             shard.shard_index));
-      });
-    }
+  for (const auto& segment : shard.segments.segments()) {
+    const CompiledQuery compiled(query, segment->columns);
+    const FilterBitmap bitmap = compiled.Eval(
+        std::span<const Json>(shard.docs.data() + segment->base,
+                              segment->rows()),
+        &segment->cache);
+    const std::size_t base = segment->base;
+    bitmap.ForEachSet([&matches, &shard, base](std::size_t local) {
+      matches.push_back(
+          static_cast<DocId>((base + local) * shard.stride + shard.shard_index));
+    });
   }
   return matches;
 }
@@ -643,8 +419,7 @@ std::vector<DocId> ElasticStore::MatchingDocs(const Index& index,
   RunPerShard(num_shards, [&](std::size_t s) {
     const SubShard& shard = *index.shards[s];
     std::shared_lock shard_lock(shard.mu);
-    per_shard[s] = options_.doc_values ? MatchingDocsColumnar(shard, query)
-                                       : MatchingDocs(shard, query);
+    per_shard[s] = MatchingDocs(shard, query);
   });
 
   // Merge the per-shard lists (each ascending) in ascending docid order
@@ -692,44 +467,8 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
 
   std::vector<DocId> matches = MatchingDocs(*index, request.query);
 
-  if (!options_.doc_values) {
-    // Serial JSON engine: sort with per-comparison Json::Find (the oracle).
-    if (!request.sort.empty()) {
-      std::stable_sort(
-          matches.begin(), matches.end(), [&](DocId a, DocId b) {
-            for (const SortSpec& spec : request.sort) {
-              const Json* va = index->DocAt(a).Find(spec.field);
-              const Json* vb = index->DocAt(b).Find(spec.field);
-              // Missing values sort last regardless of direction.
-              if (va == nullptr && vb == nullptr) continue;
-              if (va == nullptr) return false;
-              if (vb == nullptr) return true;
-              int cmp = 0;
-              if (va->is_number() && vb->is_number()) {
-                const double da = va->as_double();
-                const double db = vb->as_double();
-                cmp = da < db ? -1 : (da > db ? 1 : 0);
-              } else if (va->is_string() && vb->is_string()) {
-                cmp = va->as_string().compare(vb->as_string());
-              }
-              if (cmp != 0) return spec.ascending ? cmp < 0 : cmp > 0;
-            }
-            return a < b;
-          });
-    }
-    SearchResult result;
-    result.total = matches.size();
-    const std::size_t start = std::min(request.from, matches.size());
-    const std::size_t end = std::min(start + request.size, matches.size());
-    result.hits.reserve(end - start);
-    for (std::size_t i = start; i < end; ++i) {
-      result.hits.push_back(Hit{matches[i], index->DocAt(matches[i])});
-    }
-    return result;
-  }
-
-  // Columnar engine. Paging bounds first (saturating), because the sort only
-  // needs the top `end` entries.
+  // Paging bounds first (saturating), because the sort only needs the top
+  // `end` entries.
   SearchResult result;
   result.total = matches.size();
   const std::size_t start = std::min(request.from, matches.size());
@@ -806,7 +545,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
       if (cmp != 0) return request.sort[j].ascending ? cmp < 0 : cmp > 0;
     }
     // Total docid tiebreak: the order is strict, so a plain (partial) sort
-    // produces exactly what the oracle's stable_sort does.
+    // produces exactly what a stable sort by the same keys does.
     return matches[a] < matches[b];
   };
   std::vector<std::size_t> order(matches.size());
@@ -843,9 +582,7 @@ Expected<std::size_t> ElasticStore::Count(const std::string& index_name,
   RunPerShard(num_shards, [&](std::size_t s) {
     const SubShard& shard = *index->shards[s];
     std::shared_lock shard_lock(shard.mu);
-    counts[s] = (options_.doc_values ? MatchingDocsColumnar(shard, query)
-                                     : MatchingDocs(shard, query))
-                    .size();
+    counts[s] = MatchingDocs(shard, query).size();
   });
   std::size_t total = 0;
   for (const std::size_t c : counts) total += c;
@@ -938,12 +675,6 @@ Expected<AggResult> ElasticStore::Aggregate(const std::string& index_name,
   index->AwaitRefreshGate();
   std::shared_lock refresh_lock(index->refresh_mu);
   std::vector<DocId> matches = MatchingDocs(*index, query);
-  if (!options_.doc_values) {
-    std::vector<const Json*> docs;
-    docs.reserve(matches.size());
-    for (DocId id : matches) docs.push_back(&index->DocAt(id));
-    return agg.Execute(docs);
-  }
   std::vector<ShardedAggSource::ShardView> views;
   views.reserve(index->num_shards());
   for (const auto& shard : index->shards) {
@@ -961,12 +692,6 @@ Expected<AggPartial> ElasticStore::AggregatePartial(
   index->AwaitRefreshGate();
   std::shared_lock refresh_lock(index->refresh_mu);
   std::vector<DocId> matches = MatchingDocs(*index, query);
-  if (!options_.doc_values) {
-    std::vector<const Json*> docs;
-    docs.reserve(matches.size());
-    for (DocId id : matches) docs.push_back(&index->DocAt(id));
-    return agg.ExecutePartial(docs);
-  }
   std::vector<ShardedAggSource::ShardView> views;
   views.reserve(index->num_shards());
   for (const auto& shard : index->shards) {
@@ -995,8 +720,7 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
     if (shard.IsTyped(pos)) {
       // Typed rows are updated through their materialized document; a
       // modification converts the row to a JSON row (updates are rare —
-      // one correlation pass per session — and conversion keeps the update
-      // path identical for both routes from here on).
+      // one correlation pass per session).
       const ColumnSegment& segment = shard.segments.SegmentFor(pos);
       Json doc =
           MaterializeWireDoc(segment.columns, shard.segments.LocalPos(pos));
@@ -1009,37 +733,28 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
     }
     ++modified;
     modified_pos[s].push_back(pos);
-    // Re-index the updated document: postings become a superset (stale
-    // entries are filtered by re-verification at query time).
-    IndexDoc(shard, id, shard.docs[pos]);
   }
   index->updates.fetch_add(modified, std::memory_order_relaxed);
-  for (const auto& shard : index->shards) {
-    std::unique_lock shard_lock(shard->mu);
-    SortNumericsIfDirty(*shard);
-  }
-  if (options_.doc_values) {
-    // Rewrite just the modified slots in place and invalidate only the
-    // touched segments' caches: blocks the update never reached keep their
-    // bitmaps and their dictionary ranks (a rewrite may add dictionary
-    // entries, but FinishBatch re-ranks only dictionaries that grew).
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (modified_pos[s].empty()) continue;
-      SubShard& shard = *index->shards[s];
-      std::unique_lock shard_lock(shard.mu);
-      std::vector<std::uint8_t> touched(shard.segments.num_segments(), 0);
-      for (const std::size_t pos : modified_pos[s]) {
-        ColumnSegment& segment = shard.segments.SegmentFor(pos);
-        segment.columns.ReplaceRow(shard.segments.LocalPos(pos),
-                                   shard.docs[pos]);
-        touched[shard.segments.SegmentIndexFor(pos)] = 1;
-      }
-      for (std::size_t k = 0; k < touched.size(); ++k) {
-        if (touched[k] == 0) continue;
-        ColumnSegment& segment = *shard.segments.segments()[k];
-        segment.columns.FinishBatch();
-        segment.cache.Clear();
-      }
+  // Rewrite just the modified slots in place and invalidate only the
+  // touched segments' caches: blocks the update never reached keep their
+  // bitmaps and their dictionary ranks (a rewrite may add dictionary
+  // entries, but FinishBatch re-ranks only dictionaries that grew).
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (modified_pos[s].empty()) continue;
+    SubShard& shard = *index->shards[s];
+    std::unique_lock shard_lock(shard.mu);
+    std::vector<std::uint8_t> touched(shard.segments.num_segments(), 0);
+    for (const std::size_t pos : modified_pos[s]) {
+      ColumnSegment& segment = shard.segments.SegmentFor(pos);
+      segment.columns.ReplaceRow(shard.segments.LocalPos(pos),
+                                 shard.docs[pos]);
+      touched[shard.segments.SegmentIndexFor(pos)] = 1;
+    }
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      if (touched[k] == 0) continue;
+      ColumnSegment& segment = *shard.segments.segments()[k];
+      segment.columns.FinishBatch();
+      segment.cache.Clear();
     }
   }
   return modified;

@@ -4,22 +4,20 @@
 //     arguments"),
 //   * bulk indexing with near-real-time visibility (documents become
 //     searchable at the next refresh, like ES's refresh_interval),
-//   * term/range/prefix/bool queries with per-field inverted + numeric
-//     indexes,
+//   * term/range/prefix/bool queries,
 //   * aggregations (terms, histograms, percentiles) with sub-aggregations,
 //   * update-by-query, which the file-path correlation algorithm uses.
 //
-// Query execution has two engines:
-//   * the serial JSON engine — per-document Query::Matches over raw Json,
-//     sub-shards visited one by one. Simple, and kept as the parity oracle;
-//   * the columnar engine (backend.doc_values, default on) — at Refresh each
-//     sub-shard also materializes typed doc-value columns, and term / terms /
-//     range / prefix / exists predicates, sort keys, and aggregations resolve
-//     against those columns (or cached filter bitmaps) instead of Json::Find
-//     per document, the way Lucene serves analytics from doc-values.
-// With backend.query_threads > 0, sub-shards are evaluated in parallel on a
-// shared pool and per-shard results merged in docid order; both engines
-// return byte-identical results either way.
+// One query engine serves every row, whether it arrived as a JSON document
+// (Bulk) or as a binary wire record (BulkWire): at Refresh each sub-shard
+// appends the new rows to typed doc-value columns, and term / terms / range
+// / prefix / exists predicates, sort keys and aggregations resolve against
+// those columns (or cached filter bitmaps) instead of Json::Find per
+// document, the way Lucene serves analytics from doc-values. With
+// backend.query_threads > 0, sub-shards are evaluated in parallel on a
+// shared pool and per-shard results merged in docid order; results are
+// byte-identical either way. The parity suites check every answer against
+// a plain vector-of-documents reference model (tests/support/).
 #pragma once
 
 #include <atomic>
@@ -28,11 +26,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "backend/aggregation.h"
@@ -59,9 +55,6 @@ struct ElasticStoreOptions {
   // Worker threads for per-sub-shard query fan-out. 0 = evaluate sub-shards
   // on the calling thread (no pool).
   std::size_t query_threads = 0;
-  // Materialize doc-value columns at Refresh and serve queries from them.
-  // Off = the serial JSON engine (the parity oracle).
-  bool doc_values = true;
   // Rows per sealed column segment. Each sub-shard's columns are an ordered
   // list of immutable sealed blocks of exactly this many rows plus one
   // growing tail: Refresh appends only the new rows to the tail, off-lock,
@@ -73,11 +66,6 @@ struct ElasticStoreOptions {
   // Cached filter bitmaps per segment, evicted in LRU order. 0 disables
   // bitmap caching entirely (the drop-all-caches parity twin).
   std::size_t filter_cache_entries = FilterBitmapCache::kDefaultEntries;
-  // Ingest BulkWire() batches straight into doc-value columns, skipping the
-  // per-event JSON build/parse entirely (requires doc_values). Off = wire
-  // batches are materialized to JSON and take the Bulk() route — the parity
-  // oracle for the typed path.
-  bool typed_ingest = true;
   // Route bitmap combination / range / term-list / histogram evaluation
   // through the vectorized kernels (backend/simd_kernels.h). Process-wide:
   // constructing a store applies this to the kernel switch. Off = the
@@ -95,9 +83,9 @@ class ElasticStore : public QueryBackend {
   // Each index is split into `shards_per_index` sub-shards (documents are
   // assigned by docid % shards): bulk ingest lands on per-sub-shard lanes
   // with independent locks, so N concurrent Bulk() callers (the tracer's
-  // per-CPU consumers) do not serialize on one mutex, and Refresh() indexes
-  // the sub-shards in parallel. Query semantics and docid (ingestion) order
-  // are identical to a single-shard store.
+  // per-CPU consumers) do not serialize on one mutex, and Refresh() builds
+  // the sub-shards' columns in parallel. Query semantics and docid
+  // (ingestion) order are identical to a single-shard store.
   explicit ElasticStore(std::size_t shards_per_index = kDefaultShards);
   explicit ElasticStore(const ElasticStoreOptions& options);
 
@@ -115,12 +103,10 @@ class ElasticStore : public QueryBackend {
   // next Refresh() (near-real-time semantics).
   void Bulk(const std::string& index, std::vector<Json> documents);
   // Typed bulk ingestion: buffers binary wire records; at Refresh their
-  // fields are appended straight into doc-value columns (no JSON build, no
-  // postings). Queries over typed rows read the columns; row-oriented views
-  // (hits, snapshots, update-by-query) are rebuilt on demand and are
-  // byte-identical to the documents Bulk() would have produced from
-  // WireEventToJson. Falls back to exactly that Bulk() route when
-  // typed_ingest or doc_values is off.
+  // fields are appended straight into doc-value columns (no JSON build).
+  // Row-oriented views (hits, snapshots, update-by-query) are rebuilt on
+  // demand and are byte-identical to the documents Bulk() would have
+  // produced from WireEventToJson.
   void BulkWire(const std::string& index, std::string_view session,
                 std::vector<tracer::WireEvent> records);
   // Makes all buffered documents searchable.
@@ -167,7 +153,7 @@ class ElasticStore : public QueryBackend {
  private:
   // One sub-shard of an index: owns the documents with
   // docid % num_shards == shard_index (stored at position docid / num_shards)
-  // plus the term/numeric indexes over exactly those documents.
+  // and the doc-value columns over exactly those documents.
   struct SubShard {
     SubShard(std::size_t segment_docs, std::size_t cache_entries)
         : segments(segment_docs, cache_entries) {}
@@ -177,47 +163,22 @@ class ElasticStore : public QueryBackend {
 
     mutable std::shared_mutex mu;
     std::vector<Json> docs;  // position = docid / stride
-    // term index: field -> canonical term -> posting list (global docids,
-    // ascending). Terms are kept sorted so prefix queries walk just the
-    // "s:<prefix>" range. Postings may be stale supersets after updates;
-    // queries re-verify against the document.
-    std::unordered_map<std::string,
-                       std::map<std::string, std::vector<DocId>, std::less<>>>
-        terms;
-    // numeric index: field -> (value, global docid) sorted by value.
-    std::unordered_map<std::string,
-                       std::vector<std::pair<std::int64_t, DocId>>>
-        numerics;
-    bool numerics_dirty = false;
 
-    // Columnar engine state (backend.doc_values): the sub-shard's ordered
-    // segment list — sealed immutable blocks plus one growing tail, each
-    // with its own scan-path bitmap cache. Covers the same positions as
-    // `docs` (segment index = pos / segment_docs). Swapped/extended only
-    // under refresh_mu unique; read under refresh_mu shared.
+    // The sub-shard's ordered segment list — sealed immutable blocks plus
+    // one growing tail, each with its own filter-bitmap cache. Covers the
+    // same positions as `docs` (segment index = pos / segment_docs).
+    // Swapped/extended only under refresh_mu unique; read under refresh_mu
+    // shared.
     SegmentedColumns segments;
 
-    // Typed-ingest state (backend.typed_ingest): typed[pos] != 0 marks a row
-    // whose fields live only in `columns` — docs[pos] is a null placeholder
-    // and the term/numeric indexes never saw it, so while typed_rows > 0
-    // queries must take the scan path (Candidates() would miss these rows).
-    // An update-by-query that modifies a typed row converts it to a JSON row.
+    // typed[pos] != 0 marks a row that arrived through BulkWire: its fields
+    // live only in `segments` and docs[pos] is a null placeholder. An
+    // update-by-query that modifies a typed row converts it to a JSON row.
     std::vector<std::uint8_t> typed;
     std::size_t typed_rows = 0;
 
     [[nodiscard]] bool IsTyped(std::size_t pos) const {
       return pos < typed.size() && typed[pos] != 0;
-    }
-
-    [[nodiscard]] const Json& DocAt(DocId id) const {
-      return docs[static_cast<std::size_t>(id) / stride];
-    }
-    [[nodiscard]] Json& DocAt(DocId id) {
-      return docs[static_cast<std::size_t>(id) / stride];
-    }
-    [[nodiscard]] bool Owns(DocId id) const {
-      return static_cast<std::size_t>(id) % stride == shard_index &&
-             static_cast<std::size_t>(id) / stride < docs.size();
     }
   };
 
@@ -288,33 +249,16 @@ class ElasticStore : public QueryBackend {
     std::vector<std::uint64_t> refresh_pause_ns;
 
     [[nodiscard]] std::size_t num_shards() const { return shards.size(); }
-    [[nodiscard]] const Json& DocAt(DocId id) const {
-      return shards[static_cast<std::size_t>(id) % shards.size()]->DocAt(id);
-    }
-    [[nodiscard]] Json& DocAt(DocId id) {
-      return shards[static_cast<std::size_t>(id) % shards.size()]->DocAt(id);
-    }
     // Row-oriented view of any row: JSON rows copy the stored document,
     // typed rows rebuild it from the columns (byte-identical to what the
     // JSON route would have stored). Caller holds refresh_mu.
     [[nodiscard]] Json MaterializedDoc(DocId id) const;
   };
 
-  static std::string TermKey(const Json& value);
-  static void IndexDoc(SubShard& shard, DocId id, const Json& doc);
-  static void SortNumericsIfDirty(SubShard& shard);
-  // Candidate docids for the query via this sub-shard's indexes (superset
-  // of matches), or nullopt when the query cannot be served by an index
-  // (falls back to scanning). Caller verifies with Query::Matches.
-  static std::optional<std::vector<DocId>> Candidates(const SubShard& shard,
-                                                      const Query& query);
-  // Serial JSON engine: verify candidates / scan with Query::Matches.
+  // The sub-shard's matches, ascending docid: a CompiledQuery evaluated
+  // over each segment's doc-value columns (bitmaps cached per segment).
   static std::vector<DocId> MatchingDocs(const SubShard& shard,
                                          const Query& query);
-  // Columnar engine: verify candidates / scan with a CompiledQuery over the
-  // shard's doc-value columns (bitmaps cached for scan-path predicates).
-  static std::vector<DocId> MatchingDocsColumnar(const SubShard& shard,
-                                                 const Query& query);
   // All matches across sub-shards, ascending docid (= ingestion order),
   // fanned out on the query pool when configured. Caller must hold
   // refresh_mu (shared or unique).

@@ -1,9 +1,9 @@
 // Typed bulk ingest: WireEvent -> doc-value columns, no JSON middleman.
 //
 // The JSON route builds one Json tree per event (Event::ToJson), ships it
-// through the pipeline, parses it back into postings + columns at Refresh,
-// and keeps the tree alive as the row store. The typed route cuts all of
-// that out: the tracer ships raw WireEvent records, and at Refresh a
+// through the pipeline, parses it back into columns at Refresh, and keeps
+// the tree alive as the row store. The typed route cuts all of that out:
+// the tracer ships raw WireEvent records, and at Refresh a
 // WireColumnAppender writes each field straight into the sub-shard's
 // DocValueColumn cells — one dictionary intern or int64 store per field,
 // zero allocations per event on the common path.
@@ -14,8 +14,9 @@
 // encodings exactly, so MaterializeWireDoc() can rebuild the byte-identical
 // JSON document from the columns whenever a row-oriented view is needed
 // (search hits, spool/save, update-by-query). Every wire-document field is a
-// scalar, so the columns are a lossless encoding of the document.
-// `backend.typed_ingest=false` keeps the JSON route as the parity oracle.
+// scalar, so the columns are a lossless encoding of the document. The
+// parity suites feed WireEventToJson of the same records to a reference
+// model (tests/support/) and compare every answer byte for byte.
 #pragma once
 
 #include <cstddef>

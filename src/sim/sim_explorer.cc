@@ -1,18 +1,14 @@
 // sim_explorer: seed-sweep driver for the deterministic simulation.
 //
 //   sim_explorer [--seeds=N] [--seed=X] [--ops=N] [--fault-plan=SPEC]
-//                [--spool-dir=DIR] [--trace] [--json-ingest]
-//                [--segment-docs=N] [--replay-trace=FILE]
+//                [--spool-dir=DIR] [--trace] [--segment-docs=N]
+//                [--replay-trace=FILE]
 //                [--cluster=N] [--replicas=R] [--ack=LEVEL]
 //
 // --replay-trace=FILE replaces the seeded random workload with a recorded
 // binary trace (see `dio-replay record`): every task replays FILE through
 // a trace::SyscallIssuer into its own directory, and --ops is ignored.
 // (--trace, by contrast, keeps the scheduler's step trace in memory.)
-//
-// --json-ingest sweeps the same seeds over the JSON-oracle ingest route
-// (backend.typed_ingest=false) instead of the default typed wire->column
-// route; every invariant must hold identically on both.
 //
 // --segment-docs=N sets the sealed-segment size of the run's stores
 // (backend.segment_docs; 0 = one column segment that never seals).
@@ -85,7 +81,6 @@ int main(int argc, char** argv) {
   std::string spool_dir;
   std::string replay_trace;
   bool keep_trace = false;
-  bool json_ingest = false;
   std::size_t segment_docs = dio::sim::SimOptions{}.segment_docs;
   std::size_t cluster_nodes = 0;
   std::size_t cluster_replicas = 1;
@@ -118,8 +113,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "--segment-docs", &value)) {
       segment_docs =
           static_cast<std::size_t>(ParseCount(value, "--segment-docs"));
-    } else if (arg == "--json-ingest") {
-      json_ingest = true;
     } else {
       std::fprintf(stderr, "sim_explorer: unknown argument '%s'\n", argv[i]);
       return 2;
@@ -171,7 +164,6 @@ int main(int argc, char** argv) {
     options.fault_spec = fault_spec;
     options.spool_dir = spool_dir;
     options.keep_trace = keep_trace;
-    options.typed_ingest = !json_ingest;
     options.segment_docs = segment_docs;
     options.cluster_nodes = cluster_nodes;
     options.cluster_replicas = cluster_replicas;
@@ -212,10 +204,9 @@ int main(int argc, char** argv) {
                      std::to_string(result->cluster_snapshot_catchups);
     }
     std::printf(
-        "seed %llu route=%s plan=%s steps=%llu digest=%016llx spool=%llu/%llu "
+        "seed %llu plan=%s steps=%llu digest=%016llx spool=%llu/%llu "
         "restored=%llu%s%s\n",
-        static_cast<unsigned long long>(seed),
-        json_ingest ? "json" : "typed", result->plan_spec.c_str(),
+        static_cast<unsigned long long>(seed), result->plan_spec.c_str(),
         static_cast<unsigned long long>(result->steps),
         static_cast<unsigned long long>(result->schedule_digest),
         static_cast<unsigned long long>(result->spool_unique),

@@ -389,7 +389,6 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
   if (!device.ok()) return device.status();
 
   backend::ElasticStoreOptions store_options;
-  store_options.typed_ingest = options.typed_ingest;
   store_options.segment_docs = options.segment_docs;
   // In cluster mode `store` only serves the post-run spool restore (the
   // single-store oracle the scattered query results are compared against);

@@ -58,11 +58,6 @@ struct SimOptions {
   std::string spool_dir;
   // Keep the full schedule trace of each run (memory-heavy; repro dumps).
   bool keep_trace = false;
-  // Ingest route for the run's ElasticStore: true = typed wire->column
-  // ingest (the default production path), false = the JSON-oracle route
-  // (wire records materialized to documents at the store boundary). Every
-  // invariant must hold identically on both.
-  bool typed_ingest = true;
   // Sealed-segment size for the run's stores (backend.segment_docs). Small
   // values force many seal boundaries at sim scale; 0 = one column segment
   // that never seals. In cluster mode the post-run restore oracle always

@@ -1,9 +1,10 @@
-// Parity tests for the columnar query engine (backend.doc_values) and the
-// parallel per-shard fan-out (backend.query_threads). The serial JSON engine
-// (doc_values off, query_threads 0) is the oracle: for the same Bulk call
-// sequence, every observable result — hits, docids, totals, sort order,
-// aggregation buckets and metrics, update-by-query effects — must be
-// byte-identical across engines and thread counts.
+// Parity tests for the columnar query engine and the parallel per-shard
+// fan-out (backend.query_threads). The oracle is the test-side reference
+// model (support/reference_store.h): a serial JSON engine that filters a
+// vector of documents with Query::Matches. For the same Bulk call sequence,
+// every observable result — hits, docids, totals, sort order, aggregation
+// buckets and metrics, update-by-query effects — must be byte-identical
+// across shard and thread counts.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -12,6 +13,7 @@
 
 #include "backend/store.h"
 #include "common/random.h"
+#include "support/reference_store.h"
 
 namespace dio::backend {
 namespace {
@@ -100,7 +102,8 @@ Json RandomDoc(Random& rng, int docnum) {
   return doc;
 }
 
-void FillStores(std::uint64_t seed, std::vector<ElasticStore*> stores) {
+void FillStores(std::uint64_t seed, ElasticStore& store,
+                testing::ReferenceStore& model) {
   Random rng(seed);
   int docnum = 0;
   for (const int batch_size : {3, 41, 128, 1, 64, 17, 200}) {
@@ -108,12 +111,15 @@ void FillStores(std::uint64_t seed, std::vector<ElasticStore*> stores) {
     for (int i = 0; i < batch_size; ++i, ++docnum) {
       docs.push_back(RandomDoc(rng, docnum));
     }
-    for (ElasticStore* store : stores) store->Bulk("ev", docs);
+    store.Bulk("ev", docs);
+    model.Bulk("ev", std::move(docs));
     if (batch_size == 128) {  // interleave a refresh mid-sequence
-      for (ElasticStore* store : stores) store->Refresh("ev");
+      store.Refresh("ev");
+      model.Refresh("ev");
     }
   }
-  for (ElasticStore* store : stores) store->Refresh("ev");
+  store.Refresh("ev");
+  model.Refresh("ev");
 }
 
 std::vector<SearchRequest> ParityRequests() {
@@ -145,14 +151,14 @@ std::vector<SearchRequest> ParityRequests() {
   SearchRequest prefix;
   prefix.query = Query::Prefix("file_path", "/data/db/wal-1");
   out.push_back(prefix);
-  SearchRequest scan_only;  // no indexable clause: pure bitmap/scan path
+  SearchRequest scan_only;  // negation over a cached exists bitmap
   scan_only.query = Query::Not(Query::Exists("comm"));
   scan_only.sort = {{"ret", false}};
   out.push_back(scan_only);
   SearchRequest null_member;  // null members exist and group as kOther
   null_member.query = Query::Exists("extra");
   out.push_back(null_member);
-  SearchRequest empty_or;  // structural edge: empty Or differs by path
+  SearchRequest empty_or;  // structural edge: an empty Or matches everything
   empty_or.query = Query::And({Query::Or({}), Query::Exists("tid")});
   out.push_back(empty_or);
   SearchRequest deep_page;
@@ -190,19 +196,14 @@ class ColumnarParityTest
 
 TEST_P(ColumnarParityTest, MatchesSerialJsonEngine) {
   for (const std::uint64_t seed : {7ULL, 1234ULL, 982451653ULL}) {
-    ElasticStoreOptions oracle_opts;
-    oracle_opts.shards_per_index = GetParam().shards;
-    oracle_opts.doc_values = false;
-    oracle_opts.query_threads = 0;
-    ElasticStore oracle(oracle_opts);
+    testing::ReferenceStore oracle;
 
     ElasticStoreOptions columnar_opts;
     columnar_opts.shards_per_index = GetParam().shards;
-    columnar_opts.doc_values = true;
     columnar_opts.query_threads = GetParam().threads;
     ElasticStore columnar(columnar_opts);
 
-    FillStores(seed, {&oracle, &columnar});
+    FillStores(seed, columnar, oracle);
 
     const auto requests = ParityRequests();
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -232,7 +233,7 @@ TEST_P(ColumnarParityTest, MatchesSerialJsonEngine) {
     }
 
     // Update-by-query must modify the same documents, then requery cleanly
-    // (columns are rebuilt for touched shards).
+    // (touched slots are rewritten in place).
     const auto tag = [](Json& d) {
       if (d.Has("correlated")) return false;
       d.Set("correlated", true);
@@ -264,80 +265,91 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- distributed partial aggregation ----------------------------------------
 // AggregatePartial over a split corpus, merged in split order and finalized,
-// must equal Aggregate over the full corpus — on both engines. The aggs keep
-// stats fields integer-valued (exact partial sums); percentile merges are
-// exact even over true doubles because they merge sorted values, not sums.
+// must equal Aggregate over the full corpus — on the store and on the
+// reference model, and the two must agree. The aggs keep stats fields
+// integer-valued (exact partial sums); percentile merges are exact even over
+// true doubles because they merge sorted values, not sums.
 
-TEST(AggregatePartialStoreTest, SplitPartialsFinalizeToFullAggregate) {
-  for (const bool doc_values : {false, true}) {
-    ElasticStoreOptions opts;
-    opts.shards_per_index = 4;
-    opts.doc_values = doc_values;
-    opts.query_threads = 0;
-    ElasticStore full(opts);
-    ElasticStore first(opts);
-    ElasticStore second(opts);
-    Random rng(982451653ULL);
-    int docnum = 0;
-    int batch_index = 0;
-    for (const int batch_size : {3, 41, 128, 1, 64, 17, 200}) {
-      std::vector<Json> docs;
-      for (int i = 0; i < batch_size; ++i, ++docnum) {
-        docs.push_back(RandomDoc(rng, docnum));
-      }
-      full.Bulk("ev", docs);
-      (batch_index++ < 3 ? first : second).Bulk("ev", docs);
+template <typename Store>
+void CheckSplitPartials(Store& full, Store& first, Store& second,
+                        std::vector<std::string>* dumps) {
+  Random rng(982451653ULL);
+  int docnum = 0;
+  int batch_index = 0;
+  for (const int batch_size : {3, 41, 128, 1, 64, 17, 200}) {
+    std::vector<Json> docs;
+    for (int i = 0; i < batch_size; ++i, ++docnum) {
+      docs.push_back(RandomDoc(rng, docnum));
     }
-    for (ElasticStore* store : {&full, &first, &second}) store->Refresh("ev");
+    full.Bulk("ev", docs);
+    (batch_index++ < 3 ? first : second).Bulk("ev", docs);
+  }
+  for (Store* store : {&full, &first, &second}) store->Refresh("ev");
 
-    std::vector<Aggregation> aggs;
-    aggs.push_back(Aggregation::Terms("syscall")
-                       .SubAgg("lat", Aggregation::Stats("ret"))
-                       .SubAgg("p", Aggregation::Percentiles("duration_ns",
-                                                             {50, 95, 99})));
-    aggs.push_back(Aggregation::DateHistogram("time_enter", 500)
-                       .SubAgg("by_comm", Aggregation::Terms("comm", 3)));
-    aggs.push_back(Aggregation::Terms("offset"));  // mixed int/string keys
-    aggs.push_back(Aggregation::Terms("extra"));   // null members (kOther)
-    aggs.push_back(Aggregation::Stats("ret"));
-    aggs.push_back(Aggregation::Percentiles("duration_ns", {1.0, 50.0, 99.9}));
+  std::vector<Aggregation> aggs;
+  aggs.push_back(Aggregation::Terms("syscall")
+                     .SubAgg("lat", Aggregation::Stats("ret"))
+                     .SubAgg("p", Aggregation::Percentiles("duration_ns",
+                                                           {50, 95, 99})));
+  aggs.push_back(Aggregation::DateHistogram("time_enter", 500)
+                     .SubAgg("by_comm", Aggregation::Terms("comm", 3)));
+  aggs.push_back(Aggregation::Terms("offset"));  // mixed int/string keys
+  aggs.push_back(Aggregation::Terms("extra"));   // null members (kOther)
+  aggs.push_back(Aggregation::Stats("ret"));
+  aggs.push_back(Aggregation::Percentiles("duration_ns", {1.0, 50.0, 99.9}));
 
-    std::vector<Query> queries;
-    queries.push_back(Query::MatchAll());
-    queries.push_back(Query::Range("ret", 0, 40'000));
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      for (std::size_t i = 0; i < aggs.size(); ++i) {
-        auto ref = full.Aggregate("ev", queries[q], aggs[i]);
-        auto part_a = first.AggregatePartial("ev", queries[q], aggs[i]);
-        auto part_b = second.AggregatePartial("ev", queries[q], aggs[i]);
-        auto part_full = full.AggregatePartial("ev", queries[q], aggs[i]);
-        ASSERT_TRUE(ref.ok() && part_a.ok() && part_b.ok() && part_full.ok())
-            << "doc_values=" << doc_values << " query " << q << " agg " << i;
-        AggPartial merged;
-        aggs[i].MergePartial(merged, std::move(*part_a));
-        aggs[i].MergePartial(merged, std::move(*part_b));
-        EXPECT_EQ(DumpAgg(aggs[i].FinalizePartial(std::move(merged))),
-                  DumpAgg(*ref))
-            << "doc_values=" << doc_values << " query " << q << " agg " << i;
-        // Degenerate split: one partial over the whole corpus.
-        EXPECT_EQ(DumpAgg(aggs[i].FinalizePartial(std::move(*part_full))),
-                  DumpAgg(*ref))
-            << "doc_values=" << doc_values << " query " << q << " agg " << i;
-      }
+  std::vector<Query> queries;
+  queries.push_back(Query::MatchAll());
+  queries.push_back(Query::Range("ret", 0, 40'000));
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    for (std::size_t i = 0; i < aggs.size(); ++i) {
+      auto ref = full.Aggregate("ev", queries[q], aggs[i]);
+      auto part_a = first.AggregatePartial("ev", queries[q], aggs[i]);
+      auto part_b = second.AggregatePartial("ev", queries[q], aggs[i]);
+      auto part_full = full.AggregatePartial("ev", queries[q], aggs[i]);
+      ASSERT_TRUE(ref.ok() && part_a.ok() && part_b.ok() && part_full.ok())
+          << "query " << q << " agg " << i;
+      AggPartial merged;
+      aggs[i].MergePartial(merged, std::move(*part_a));
+      aggs[i].MergePartial(merged, std::move(*part_b));
+      EXPECT_EQ(DumpAgg(aggs[i].FinalizePartial(std::move(merged))),
+                DumpAgg(*ref))
+          << "query " << q << " agg " << i;
+      // Degenerate split: one partial over the whole corpus.
+      EXPECT_EQ(DumpAgg(aggs[i].FinalizePartial(std::move(*part_full))),
+                DumpAgg(*ref))
+          << "query " << q << " agg " << i;
+      dumps->push_back(DumpAgg(*ref));
     }
   }
 }
 
-// ---- prefix queries over wide term dictionaries (sorted term index) ---------
+TEST(AggregatePartialStoreTest, SplitPartialsFinalizeToFullAggregate) {
+  ElasticStoreOptions opts;
+  opts.shards_per_index = 4;
+  opts.query_threads = 0;
+  ElasticStore full(opts);
+  ElasticStore first(opts);
+  ElasticStore second(opts);
+  std::vector<std::string> got;
+  CheckSplitPartials(full, first, second, &got);
+
+  testing::ReferenceStore model_full;
+  testing::ReferenceStore model_first;
+  testing::ReferenceStore model_second;
+  std::vector<std::string> expected;
+  CheckSplitPartials(model_full, model_first, model_second, &expected);
+  EXPECT_EQ(got, expected);
+}
+
+// ---- prefix queries over wide term dictionaries (sorted ranks) -------------
 
 TEST(ColumnarPrefixTest, PrefixSkipsNonMatchingTerms) {
   // Thousands of terms that do NOT match the prefix, bracketing the ones
-  // that do: the sorted term index must land on the "s:<prefix>" range via
-  // lower_bound instead of walking every term, and both engines must agree.
-  ElasticStoreOptions oracle_opts;
-  oracle_opts.doc_values = false;
-  ElasticStore oracle(oracle_opts);
-  ElasticStore columnar;  // defaults: doc_values on
+  // that do: the prefix must resolve to one contiguous range of the
+  // dictionary's lexicographic ranks, and agree with the reference model.
+  testing::ReferenceStore oracle;
+  ElasticStore columnar;
 
   std::vector<Json> docs;
   for (int i = 0; i < 3000; ++i) {
@@ -351,8 +363,8 @@ TEST(ColumnarPrefixTest, PrefixSkipsNonMatchingTerms) {
     d.Set("n", static_cast<std::int64_t>(i));
     docs.push_back(d);
   }
-  oracle.Bulk("p", docs);
-  columnar.Bulk("p", std::move(docs));
+  columnar.Bulk("p", docs);
+  oracle.Bulk("p", std::move(docs));
   oracle.Refresh("p");
   columnar.Refresh("p");
 
@@ -424,13 +436,11 @@ TEST(StoreOptionsTest, FromConfigParsesBackendSection) {
       "[backend]\n"
       "shards_per_index = 6\n"
       "query_threads = 3\n"
-      "doc_values = false\n"
       "max_result_window = 500\n");
   ASSERT_TRUE(config.ok());
   const ElasticStoreOptions options = ElasticStoreOptions::FromConfig(*config);
   EXPECT_EQ(options.shards_per_index, 6u);
   EXPECT_EQ(options.query_threads, 3u);
-  EXPECT_FALSE(options.doc_values);
   EXPECT_EQ(options.max_result_window, 500u);
 }
 
@@ -440,7 +450,6 @@ TEST(StoreOptionsTest, FromConfigDefaults) {
   const ElasticStoreOptions options = ElasticStoreOptions::FromConfig(*config);
   EXPECT_EQ(options.shards_per_index, 4u);
   EXPECT_EQ(options.query_threads, 0u);
-  EXPECT_TRUE(options.doc_values);
   EXPECT_EQ(options.max_result_window, 10'000u);
 }
 
@@ -464,8 +473,8 @@ TEST(ColumnarStatsTest, ReportsColumnBuildAndCacheTraffic) {
   EXPECT_GT(stats->column_build_ns, 0u);
   EXPECT_EQ(stats->filter_cache_hits, 0u);
 
-  // A scan-path predicate (Not has no index) computes a bitmap per sub-shard
-  // on the first run and reuses it afterwards.
+  // A predicate computes a bitmap per segment on the first run and reuses
+  // it afterwards.
   const Query scan = Query::Not(Query::Term("syscall", "read"));
   ASSERT_TRUE(store.Count("st", scan).ok());
   auto after_first = store.Stats("st");
@@ -485,24 +494,6 @@ TEST(ColumnarStatsTest, ReportsColumnBuildAndCacheTraffic) {
   auto after_refresh = store.Stats("st");
   EXPECT_GT(after_refresh->filter_cache_misses,
             after_repeat->filter_cache_misses);
-}
-
-// The serial engine never touches columns: doc_values=false must report no
-// column state at all (it is the untouched oracle).
-TEST(ColumnarStatsTest, OracleEngineBuildsNoColumns) {
-  ElasticStoreOptions options;
-  options.doc_values = false;
-  ElasticStore store(options);
-  Json d = Json::MakeObject();
-  d.Set("syscall", "read");
-  store.Bulk("st", {std::move(d)});
-  store.Refresh("st");
-  ASSERT_TRUE(store.Count("st", Query::Not(Query::Exists("x"))).ok());
-  auto stats = store.Stats("st");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->doc_value_fields, 0u);
-  EXPECT_EQ(stats->column_build_ns, 0u);
-  EXPECT_EQ(stats->filter_cache_hits + stats->filter_cache_misses, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Randomized retention test for the sealed-segment columnar layout
-// (backend.segment_docs). Four stores replay one randomly interleaved
-// BulkWire / Refresh / UpdateByQuery / read-op sequence:
+// (backend.segment_docs). Three stores and the reference model replay one
+// randomly interleaved BulkWire / Refresh / UpdateByQuery / read-op
+// sequence:
 //
 //   segmented — sealed segments + filter-bitmap cache (the production path)
 //   nocache   — same segments, backend.filter_cache_entries=0: every bitmap
 //               recomputed from the columns on every query
 //   unsealed  — backend.segment_docs=0: one tail that never seals
-//   json      — backend.doc_values=false: the JSON query engine oracle
+//   model     — support/reference_store.h: Query::Matches over the
+//               WireEventToJson documents, the oracle
 //
 // After every read op the four answers must be byte-identical
 // (ColumnarParityTest discipline: DumpResult/DumpAgg string equality), which
@@ -24,6 +26,7 @@
 #include "backend/segments.h"
 #include "backend/store.h"
 #include "common/random.h"
+#include "support/reference_store.h"
 #include "tracer/wire.h"
 
 namespace dio::backend {
@@ -104,7 +107,8 @@ tracer::WireEvent MakeWire(Random& rng, int i) {
 // The read mix: column range count, scan-path Not/Exists count, prefix
 // count, sorted window search, filtered terms agg with a stats sub-agg.
 // Each returns its dump; equality across stores is asserted per op.
-std::string ReadOp(ElasticStore& store, std::size_t which, int horizon) {
+std::string ReadOp(const QueryBackend& store, std::size_t which,
+                   int horizon) {
   switch (which % 5) {
     case 0: {
       auto count = store.Count(
@@ -154,18 +158,16 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
     ElasticStoreOptions unsealed = segmented;
     unsealed.segment_docs = 0;
 
-    ElasticStoreOptions json;
-    json.shards_per_index = 3;
-    json.doc_values = false;
-    json.typed_ingest = false;
-
     ElasticStore segmented_store(segmented);
     ElasticStore nocache_store(nocache);
     ElasticStore unsealed_store(unsealed);
-    ElasticStore json_store(json);
+    testing::ReferenceStore model;
     ElasticStore* stores[] = {&segmented_store, &nocache_store,
-                              &unsealed_store, &json_store};
-    static const char* kNames[] = {"segmented", "nocache", "unsealed", "json"};
+                              &unsealed_store};
+    QueryBackend* backends[] = {&segmented_store, &nocache_store,
+                                &unsealed_store, &model};
+    static const char* kNames[] = {"segmented", "nocache", "unsealed",
+                                   "model"};
 
     Random rng(1234 + static_cast<std::uint64_t>(segment_docs));
     int docnum = 0;
@@ -183,14 +185,15 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
         for (ElasticStore* store : stores) {
           store->BulkWire(kIndex, kSession, std::vector(batch));
         }
+        model.BulkWire(kIndex, kSession, batch);
         docnum += batch_size;
       } else if (op < 6) {
-        for (ElasticStore* store : stores) store->Refresh(kIndex);
+        for (QueryBackend* backend : backends) backend->Refresh(kIndex);
       } else if (op == 6) {
         // Update-by-query rewrites rows inside sealed segments in place;
         // only the touched blocks may drop their bitmaps.
-        for (ElasticStore* store : stores) {
-          auto updated = store->UpdateByQuery(
+        for (QueryBackend* backend : backends) {
+          auto updated = backend->UpdateByQuery(
               kIndex, Query::Term("syscall", "fsync"), [](Json& doc) {
                 if (doc.Has("correlated")) return false;
                 doc.Set("correlated", true);
@@ -201,18 +204,18 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
       } else {
         ++reads;
         const std::size_t which = rng.Uniform(5);
-        const std::string expected = ReadOp(*stores[0], which, docnum);
-        for (std::size_t s = 1; s < 4; ++s) {
-          EXPECT_EQ(expected, ReadOp(*stores[s], which, docnum))
-              << "read op " << which << " diverged: segmented vs "
-              << kNames[s] << " at step " << step;
+        const std::string expected = ReadOp(model, which, docnum);
+        for (std::size_t s = 0; s < 3; ++s) {
+          EXPECT_EQ(ReadOp(*backends[s], which, docnum), expected)
+              << "read op " << which << " diverged: " << kNames[s]
+              << " vs model at step " << step;
         }
       }
     }
     ASSERT_GT(reads, 0u);
     // The interleaving may end on an unrefreshed bulk; drain it so the
     // final doc-count assertion sees the whole stream.
-    for (ElasticStore* store : stores) store->Refresh(kIndex);
+    for (QueryBackend* backend : backends) backend->Refresh(kIndex);
 
     // The machinery under test must actually have engaged: blocks sealed,
     // bitmaps cached and re-used across the interleaved refreshes — and the
@@ -237,8 +240,9 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
 // A tail that regrows its slot buffers several times before it seals: small
 // batches, a refresh after each, so every block passes through the
 // capacity levels below segment_docs while its earlier rows stay published.
-// After every refresh the four stores must agree, and the regrowth copies
-// must show up in the rows-written counter, bounded by geometric growth.
+// After every refresh the three stores must agree with the reference model,
+// and the regrowth copies must show up in the rows-written counter, bounded
+// by geometric growth.
 TEST(SegmentRetentionTest, TailCrossesBufferGrowthsBeforeSealing) {
   ElasticStoreOptions segmented;
   segmented.shards_per_index = 2;
@@ -250,17 +254,11 @@ TEST(SegmentRetentionTest, TailCrossesBufferGrowthsBeforeSealing) {
   ElasticStoreOptions unsealed = segmented;
   unsealed.segment_docs = 0;
 
-  ElasticStoreOptions json;
-  json.shards_per_index = 2;
-  json.doc_values = false;
-  json.typed_ingest = false;
-
   ElasticStore segmented_store(segmented);
   ElasticStore nocache_store(nocache);
   ElasticStore unsealed_store(unsealed);
-  ElasticStore json_store(json);
-  ElasticStore* stores[] = {&segmented_store, &nocache_store, &unsealed_store,
-                            &json_store};
+  testing::ReferenceStore model;
+  ElasticStore* stores[] = {&segmented_store, &nocache_store, &unsealed_store};
 
   Random rng(4321);
   int docnum = 0;
@@ -276,10 +274,12 @@ TEST(SegmentRetentionTest, TailCrossesBufferGrowthsBeforeSealing) {
       store->BulkWire(kIndex, kSession, std::vector(batch));
       store->Refresh(kIndex);
     }
+    model.BulkWire(kIndex, kSession, batch);
+    model.Refresh(kIndex);
     for (std::size_t which = 0; which < 5; ++which) {
-      const std::string expected = ReadOp(*stores[0], which, docnum);
-      for (std::size_t s = 1; s < 4; ++s) {
-        ASSERT_EQ(expected, ReadOp(*stores[s], which, docnum))
+      const std::string expected = ReadOp(model, which, docnum);
+      for (std::size_t s = 0; s < 3; ++s) {
+        ASSERT_EQ(ReadOp(*stores[s], which, docnum), expected)
             << "read op " << which << " diverged at " << docnum << " docs";
       }
     }

@@ -1,11 +1,13 @@
 // Refresh-vs-search hammer for the columnar engine. A writer thread streams
 // bulk batches and refreshes (and occasionally runs update-by-query) while
 // reader threads issue searches, counts, and aggregations against a store
-// with doc-values on and a query pool fanning sub-shards out in parallel.
-// Every reader must observe a consistent refresh generation: results are
-// internally coherent (hits sorted, totals match) and nothing crashes or
-// races. This file is also compiled into tsan_stress_test so the whole
-// reader/writer interleaving runs under ThreadSanitizer.
+// with a query pool fanning sub-shards out in parallel. Every reader must
+// observe a consistent refresh generation: results are internally coherent
+// (hits sorted, totals match) and nothing crashes or races, and answers are
+// checked byte for byte against the reference model
+// (support/reference_store.h) fed the same stream. This file is also
+// compiled into tsan_stress_test so the whole reader/writer interleaving
+// runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "backend/store.h"
+#include "support/reference_store.h"
 #include "tracer/wire.h"
 
 namespace dio::backend {
@@ -35,11 +38,42 @@ Json Event(int docnum) {
   return doc;
 }
 
+bool FlagFsync(Json& doc) {
+  if (doc.Has("flagged")) return false;
+  doc.Set("flagged", true);
+  return true;
+}
+
+// The readers' three queries, answered in one string.
+std::string HammerAnswers(const QueryBackend& backend,
+                          const std::string& index) {
+  SearchRequest request;
+  request.query = Query::And({Query::Term("syscall", "read"),
+                              Query::Prefix("file_path", "/data/db/sstable-")});
+  request.sort = {{"time_enter", false}};
+  request.size = 50;
+  auto result = backend.Search(index, request);
+  auto scanned = backend.Count(index, Query::Not(Query::Exists("file_path")));
+  auto agg = backend.Aggregate(
+      index, Query::MatchAll(),
+      Aggregation::Terms("syscall").SubAgg("lat", Aggregation::Stats("ret")));
+  if (!result.ok() || !scanned.ok() || !agg.ok()) return "error";
+  std::string out = std::to_string(result->total) + " " +
+                    std::to_string(*scanned) + "\n";
+  for (const Hit& hit : result->hits) {
+    out += std::to_string(hit.id) + hit.source.Dump() + "\n";
+  }
+  for (const AggBucket& bucket : agg->buckets) {
+    out += bucket.key.Dump() + "=" + std::to_string(bucket.doc_count) +
+           bucket.sub.at("lat").metrics.Dump() + "\n";
+  }
+  return out;
+}
+
 TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
   ElasticStoreOptions options;
   options.shards_per_index = 4;
   options.query_threads = 2;
-  options.doc_values = true;
   ElasticStore store(options);
 
   constexpr int kBatches = 40;
@@ -60,13 +94,9 @@ TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
                     std::memory_order_release);
       if (b % 8 == 7) {
         // Update-by-query concurrently with readers: takes refresh_mu unique
-        // and rebuilds the touched shards' columns.
+        // and rewrites the touched rows' column slots.
         auto updated = store.UpdateByQuery(
-            "hammer", Query::Term("syscall", "fsync"), [](Json& d) {
-              if (d.Has("flagged")) return false;
-              d.Set("flagged", true);
-              return true;
-            });
+            "hammer", Query::Term("syscall", "fsync"), FlagFsync);
         EXPECT_TRUE(updated.ok());
       }
     }
@@ -150,41 +180,23 @@ TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->doc_count, kTotalDocs);
   EXPECT_GT(stats->doc_value_fields, 0u);
-}
 
-// Same interleaving with the serial JSON engine and no query pool: the
-// refresh lock alone must keep the oracle path race-free too.
-TEST(StoreConcurrencyTest, SerialEngineHammer) {
-  ElasticStoreOptions options;
-  options.shards_per_index = 3;
-  options.query_threads = 0;
-  options.doc_values = false;
-  ElasticStore store(options);
-
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    for (int i = 0; i < 200; ++i) {
-      store.Bulk("s", {Event(i)});
-      if (i % 5 == 4) store.Refresh("s");
+  // The same stream, quiesced, into the reference model.
+  testing::ReferenceStore model;
+  int docnum = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<Json> docs;
+    for (int i = 0; i < kBatchSize; ++i) docs.push_back(Event(docnum++));
+    model.Bulk("hammer", std::move(docs));
+    model.Refresh("hammer");
+    if (b % 8 == 7) {
+      ASSERT_TRUE(
+          model.UpdateByQuery("hammer", Query::Term("syscall", "fsync"),
+                              FlagFsync)
+              .ok());
     }
-    store.Refresh("s");
-    stop.store(true);
-  });
-  std::thread reader([&] {
-    std::uint64_t iterations = 0;
-    while (!stop.load(std::memory_order_acquire) && iterations < 20'000) {
-      ++iterations;
-      std::this_thread::yield();
-      if (!store.HasIndex("s")) continue;
-      auto count = store.Count("s", Query::Term("syscall", "write"));
-      if (count.ok()) {
-        EXPECT_LE(*count, 67u);
-      }
-    }
-  });
-  writer.join();
-  reader.join();
-  EXPECT_EQ(*store.Count("s", Query::MatchAll()), 200u);
+  }
+  EXPECT_EQ(HammerAnswers(store, "hammer"), HammerAnswers(model, "hammer"));
 }
 
 // Off-lock staged-refresh hammer: typed wire ingest while readers run. The
@@ -197,7 +209,7 @@ TEST(StoreConcurrencyTest, SerialEngineHammer) {
 // readers' feet.
 // TSan must see no race between the build and readers walking the live
 // segment list, and every answer a reader gets must be byte-identical to
-// the same query against a quiesced replay of the stream at the same
+// the same query against the reference model fed the stream up to the same
 // refresh.
 TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   ElasticStoreOptions options;
@@ -234,7 +246,7 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
     }
     return e;
   };
-  auto ingest = [&wire](ElasticStore& store, int b) {
+  auto ingest = [&wire](auto& store, int b) {
     std::vector<tracer::WireEvent> batch;
     for (int i = 0; i < kBatchSize; ++i) {
       batch.push_back(wire(b * kBatchSize + i));
@@ -242,19 +254,15 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
     store.BulkWire("seg", "hammer", std::move(batch));
     store.Refresh("seg");
   };
-  auto flag_fsyncs = [](ElasticStore& store) {
+  auto flag_fsyncs = [](QueryBackend& store) {
     return store.UpdateByQuery("seg", Query::Term("syscall", "fsync"),
-                               [](Json& d) {
-                                 if (d.Has("flagged")) return false;
-                                 d.Set("flagged", true);
-                                 return true;
-                               });
+                               FlagFsync);
   };
   // Two self-keyed reads: each answer carries the number of documents its
   // snapshot held (MatchAll total / summed syscall buckets), and neither
   // depends on the update-by-query's "flagged" member, so a quiesced
   // replay pins the expected answer per refresh.
-  auto sorted_window = [](const ElasticStore& store, std::size_t* docs) {
+  auto sorted_window = [](const QueryBackend& store, std::size_t* docs) {
     SearchRequest request;
     request.sort = {{"path", false}, {"time_enter", true}};
     request.size = 12;
@@ -269,7 +277,7 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
     }
     return out;
   };
-  auto path_terms = [](const ElasticStore& store, std::size_t* docs) {
+  auto path_terms = [](const QueryBackend& store, std::size_t* docs) {
     auto agg = store.Aggregate(
         "seg", Query::Prefix("syscall", ""),
         Aggregation::Terms("syscall").SubAgg(
@@ -289,12 +297,12 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
     return out;
   };
 
-  // Quiesced replay: the same stream, one refresh at a time with no reader
-  // running, recording each read's answer per visible document count.
+  // Quiesced replay: the same stream into the reference model, one refresh
+  // at a time, recording each read's answer per visible document count.
   std::map<std::size_t, std::string> expected_window;
   std::map<std::size_t, std::string> expected_terms;
   {
-    ElasticStore quiet(options);
+    testing::ReferenceStore quiet;
     for (int b = 0; b < kBatches; ++b) {
       ingest(quiet, b);
       std::size_t docs = 0;

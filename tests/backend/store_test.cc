@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "common/random.h"
+#include "support/reference_store.h"
+#include "tracer/wire.h"
 
 namespace dio::backend {
 namespace {
@@ -135,7 +137,7 @@ TEST_F(StoreTest, UpdateByQueryMutatesAndStaysQueryable) {
       });
   ASSERT_TRUE(updated.ok());
   EXPECT_EQ(*updated, 10u);
-  // New field immediately searchable via the (re)index.
+  // New field immediately searchable: the update rewrote the row's columns.
   EXPECT_EQ(*store_.Count("upd", Query::Term("file_path", Json("/data/x"))),
             10u);
   EXPECT_EQ(*store_.Count("upd", Query::Exists("file_path")), 10u);
@@ -151,7 +153,7 @@ TEST_F(StoreTest, UpdateByQueryChangedValueNotMatchedByStaleTerm) {
                                    return true;
                                  })
                   .ok());
-  // The old posting still exists internally but re-verification rejects it.
+  // The rewritten column slot no longer holds the old term.
   EXPECT_EQ(*store_.Count("stale", Query::Term("syscall", Json("read"))), 0u);
   EXPECT_EQ(*store_.Count("stale", Query::Term("syscall", Json("pread64"))),
             1u);
@@ -187,24 +189,95 @@ TEST_F(StoreTest, CountMatchesSearchTotal) {
   EXPECT_EQ(*store_.Count("cnt", q), store_.Search("cnt", request)->total);
 }
 
-// Property: index-accelerated query results equal brute-force evaluation.
+// Property: the store's scan over doc-value columns returns what the
+// reference model's Query::Matches over plain documents returns, for JSON
+// rows, typed (wire) rows, and rows an update-by-query converted from typed
+// to JSON — all of which take the same scan path.
 class StoreQueryEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(StoreQueryEquivalence, CandidatesAgreeWithScan) {
-  ElasticStore store;
-  Random rng(GetParam());
-  std::vector<Json> docs;
-  const char* syscalls[] = {"read", "write", "openat", "close", "lseek"};
-  for (int i = 0; i < 500; ++i) {
-    Json doc = Json::MakeObject();
-    doc.Set("syscall", syscalls[rng.Uniform(5)]);
-    doc.Set("tid", static_cast<std::int64_t>(rng.Uniform(8)));
-    doc.Set("ts", static_cast<std::int64_t>(rng.Uniform(10000)));
-    if (rng.OneIn(3)) doc.Set("path", "/data/f" + std::to_string(rng.Uniform(10)));
-    docs.push_back(std::move(doc));
+Json RandomEquivalenceDoc(Random& rng) {
+  static const char* kSyscalls[] = {"read", "write", "openat", "close",
+                                    "lseek"};
+  Json doc = Json::MakeObject();
+  doc.Set("syscall", kSyscalls[rng.Uniform(5)]);
+  doc.Set("tid", static_cast<std::int64_t>(rng.Uniform(8)));
+  doc.Set("ts", static_cast<std::int64_t>(rng.Uniform(10000)));
+  if (rng.OneIn(3)) doc.Set("path", "/data/f" + std::to_string(rng.Uniform(10)));
+  return doc;
+}
+
+// A wire record whose document carries the same field names as
+// RandomEquivalenceDoc ("syscall", "tid", "path"), so one query set covers
+// both row kinds; "ts" stays JSON-only.
+tracer::WireEvent RandomEquivalenceWire(Random& rng) {
+  static const os::SyscallNr kMix[] = {
+      os::SyscallNr::kRead, os::SyscallNr::kWrite, os::SyscallNr::kOpenat,
+      os::SyscallNr::kClose, os::SyscallNr::kLseek};
+  tracer::WireEvent e;
+  e.nr = static_cast<std::uint8_t>(kMix[rng.Uniform(5)]);
+  e.phase = 2;
+  e.pid = 7;
+  e.tid = static_cast<std::int32_t>(rng.Uniform(8));
+  e.time_enter = static_cast<std::int64_t>(rng.Uniform(10000));
+  e.time_exit = e.time_enter + 5;
+  if (rng.OneIn(3)) {
+    e.path_len = tracer::WireEvent::FillString(
+        e.path, tracer::kWirePathCap, "/data/f" + std::to_string(rng.Uniform(10)),
+        &e.path_trunc);
   }
-  store.Bulk("p", std::move(docs));
-  store.Refresh("p");
+  return e;
+}
+
+TEST_P(StoreQueryEquivalence, ScanAgreesWithReferenceModel) {
+  Random rng(GetParam());
+  // "json": JSON rows only. "mixed": typed batches, JSON batches, and an
+  // update-by-query that converts some typed rows to JSON rows.
+  ElasticStore json_store;
+  testing::ReferenceStore json_model;
+  std::vector<Json> docs;
+  for (int i = 0; i < 500; ++i) docs.push_back(RandomEquivalenceDoc(rng));
+  json_store.Bulk("p", docs);
+  json_model.Bulk("p", std::move(docs));
+  json_store.Refresh("p");
+  json_model.Refresh("p");
+
+  ElasticStoreOptions mixed_options;
+  mixed_options.shards_per_index = 3;
+  mixed_options.segment_docs = 64;
+  ElasticStore mixed_store(mixed_options);
+  testing::ReferenceStore mixed_model;
+  for (int batch = 0; batch < 6; ++batch) {
+    if (batch % 2 == 0) {
+      std::vector<tracer::WireEvent> records;
+      for (int i = 0; i < 90; ++i) records.push_back(RandomEquivalenceWire(rng));
+      mixed_store.BulkWire("p", "eq", records);
+      mixed_model.BulkWire("p", "eq", records);
+    } else {
+      std::vector<Json> rows;
+      for (int i = 0; i < 70; ++i) rows.push_back(RandomEquivalenceDoc(rng));
+      mixed_store.Bulk("p", rows);
+      mixed_model.Bulk("p", std::move(rows));
+    }
+    mixed_store.Refresh("p");
+    mixed_model.Refresh("p");
+  }
+  const auto tag = [](Json& doc) {
+    if (doc.Has("ts")) return false;  // JSON rows stay as they are
+    doc.Set("ts", doc.GetInt("time_enter"));
+    doc.Set("path", "/data/f1-converted");
+    return true;
+  };
+  auto converted = mixed_store.UpdateByQuery(
+      "p", Query::Terms("syscall", {Json("write"), Json("close")}), tag);
+  auto converted_model = mixed_model.UpdateByQuery(
+      "p", Query::Terms("syscall", {Json("write"), Json("close")}), tag);
+  ASSERT_TRUE(converted.ok() && converted_model.ok());
+  EXPECT_GT(*converted, 0u);
+  EXPECT_EQ(*converted, *converted_model);
+  auto stats = mixed_store.Stats("p");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats->typed_rows, 0u);
+  EXPECT_LT(stats->typed_rows + *converted, stats->doc_count);
 
   std::vector<Query> queries;
   queries.push_back(Query::Term("syscall", Json("read")));
@@ -221,17 +294,26 @@ TEST_P(StoreQueryEquivalence, CandidatesAgreeWithScan) {
       {Query::Not(Query::Exists("path")),
        Query::Or({Query::Term("tid", Json(0)), Query::Term("tid", Json(1))})}));
 
-  // Brute force over all docs.
-  SearchRequest all;
-  all.size = 10000;
-  auto everything = store.Search("p", all);
-  ASSERT_TRUE(everything.ok());
-  for (const Query& q : queries) {
-    std::size_t brute = 0;
-    for (const Hit& hit : everything->hits) {
-      if (q.Matches(hit.source)) ++brute;
+  const auto dump = [](const SearchResult& result) {
+    std::string out = std::to_string(result.total);
+    for (const Hit& hit : result.hits) {
+      out += " " + std::to_string(hit.id) + hit.source.Dump();
     }
-    EXPECT_EQ(*store.Count("p", q), brute) << q.ToString();
+    return out;
+  };
+  const std::pair<ElasticStore*, testing::ReferenceStore*> indices[] = {
+      {&json_store, &json_model}, {&mixed_store, &mixed_model}};
+  for (const auto& [store, model] : indices) {
+    for (const Query& q : queries) {
+      SearchRequest request;
+      request.query = q;
+      request.sort = {{"ts", false}};
+      auto got = store->Search("p", request);
+      auto want = model->Search("p", request);
+      ASSERT_TRUE(got.ok() && want.ok()) << q.ToString();
+      EXPECT_EQ(dump(*got), dump(*want)) << q.ToString();
+      EXPECT_EQ(*store->Count("p", q), *model->Count("p", q)) << q.ToString();
+    }
   }
 }
 

@@ -1,11 +1,11 @@
-// Parity tests for the typed ingest route (backend.typed_ingest) and the
-// SIMD query kernels (backend.simd_kernels). The JSON route — the same
-// BulkWire call sequence with typed_ingest off, which materializes every
-// record through tracer::WireEventToJson — is the oracle: every observable
-// result (hits with full sources, totals, sort order, counts, aggregation
-// buckets and metrics, update-by-query effects) must be byte-identical
-// across routes, shard counts, and query-thread counts. Kernel parity is
-// checked separately by flipping the process-wide simd switch on one store.
+// Parity tests for the typed ingest route (BulkWire) and the SIMD query
+// kernels (backend.simd_kernels). The oracle is the reference model
+// (support/reference_store.h) fed the same records materialized through
+// tracer::WireEventToJson — the JSON route: every observable result (hits
+// with full sources, totals, sort order, counts, aggregation buckets and
+// metrics, update-by-query effects) must be byte-identical across shard
+// counts and query-thread counts. Kernel parity is checked separately by
+// flipping the process-wide simd switch.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +17,7 @@
 #include "backend/store.h"
 #include "backend/typed_ingest.h"
 #include "common/random.h"
+#include "support/reference_store.h"
 #include "tracer/event.h"
 #include "tracer/wire.h"
 
@@ -134,7 +135,8 @@ tracer::WireEvent RandomWire(Random& rng, int i) {
   return e;
 }
 
-void FillStores(std::uint64_t seed, const std::vector<ElasticStore*>& stores) {
+template <typename... Stores>
+void FillStores(std::uint64_t seed, Stores&... stores) {
   Random rng(seed);
   int docnum = 0;
   for (const int batch_size : {3, 41, 128, 1, 64, 17, 200}) {
@@ -143,14 +145,12 @@ void FillStores(std::uint64_t seed, const std::vector<ElasticStore*>& stores) {
     for (int i = 0; i < batch_size; ++i, ++docnum) {
       records.push_back(RandomWire(rng, docnum));
     }
-    for (ElasticStore* store : stores) {
-      store->BulkWire("ev", "parity", records);
-    }
+    (stores.BulkWire("ev", "parity", records), ...);
     if (batch_size == 128) {  // interleave a refresh mid-sequence
-      for (ElasticStore* store : stores) store->Refresh("ev");
+      (stores.Refresh("ev"), ...);
     }
   }
-  for (ElasticStore* store : stores) store->Refresh("ev");
+  (stores.Refresh("ev"), ...);
 }
 
 std::vector<SearchRequest> ParityRequests() {
@@ -176,7 +176,7 @@ std::vector<SearchRequest> ParityRequests() {
   SearchRequest prefix;
   prefix.query = Query::Prefix("path", "/data/db/wal-1");
   out.push_back(prefix);
-  SearchRequest scan_only;  // no indexable clause: pure bitmap/scan path
+  SearchRequest scan_only;  // negation over a cached exists bitmap
   scan_only.query = Query::Not(Query::Exists("file_tag"));
   scan_only.sort = {{"ret", false}};
   out.push_back(scan_only);
@@ -216,28 +216,22 @@ class TypedIngestParityTest : public ::testing::TestWithParam<EngineConfig> {};
 
 TEST_P(TypedIngestParityTest, MatchesJsonRoute) {
   for (const std::uint64_t seed : {7ULL, 1234ULL, 982451653ULL}) {
-    ElasticStoreOptions oracle_opts;
-    oracle_opts.shards_per_index = GetParam().shards;
-    oracle_opts.typed_ingest = false;
-    oracle_opts.query_threads = 0;
-    ElasticStore oracle(oracle_opts);
+    testing::ReferenceStore oracle;
 
     ElasticStoreOptions typed_opts;
     typed_opts.shards_per_index = GetParam().shards;
-    typed_opts.typed_ingest = true;
     typed_opts.query_threads = GetParam().threads;
     ElasticStore typed(typed_opts);
 
-    FillStores(seed, {&oracle, &typed});
+    FillStores(seed, oracle, typed);
 
-    // The typed store must actually have taken the typed route.
+    // Every row must actually have taken the typed route.
     auto typed_stats = typed.Stats("ev");
     ASSERT_TRUE(typed_stats.ok());
-    EXPECT_GT(typed_stats->typed_rows, 0u);
     auto oracle_stats = oracle.Stats("ev");
     ASSERT_TRUE(oracle_stats.ok());
-    EXPECT_EQ(oracle_stats->typed_rows, 0u);
     EXPECT_EQ(typed_stats->doc_count, oracle_stats->doc_count);
+    EXPECT_EQ(typed_stats->typed_rows, typed_stats->doc_count);
 
     const auto requests = ParityRequests();
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -375,7 +369,7 @@ TEST(SimdKernelParityTest, KernelAndScalarPathsAgree) {
   options.shards_per_index = 3;
   ElasticStore kernel_store(options);
   ElasticStore scalar_store(options);
-  FillStores(4242, {&kernel_store, &scalar_store});
+  FillStores(4242, kernel_store, scalar_store);
 
   const auto requests = ParityRequests();
   const auto aggs = ParityAggs();
@@ -412,18 +406,15 @@ TEST(SimdKernelParityTest, KernelAndScalarPathsAgree) {
 TEST(TypedIngestOptionsTest, FromConfigParsesKnobs) {
   auto config = Config::ParseString(
       "[backend]\n"
-      "typed_ingest = false\n"
       "simd_kernels = false\n");
   ASSERT_TRUE(config.ok());
   const ElasticStoreOptions options = ElasticStoreOptions::FromConfig(*config);
-  EXPECT_FALSE(options.typed_ingest);
   EXPECT_FALSE(options.simd_kernels);
 
   auto defaults = Config::ParseString("");
   ASSERT_TRUE(defaults.ok());
   const ElasticStoreOptions default_options =
       ElasticStoreOptions::FromConfig(*defaults);
-  EXPECT_TRUE(default_options.typed_ingest);
   EXPECT_TRUE(default_options.simd_kernels);
 }
 

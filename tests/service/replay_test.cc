@@ -3,6 +3,8 @@
 // state) reproduces.
 #include "service/replay.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -185,9 +187,14 @@ TEST_F(ReplayTest, MissingIndexErrors) {
 class SpoolLoadTest : public ::testing::Test {
  protected:
   // Writes `content` verbatim (no newline appended) to a fresh spool file.
+  // The name carries the test name and pid: ctest runs each test as its own
+  // process, in parallel, all sharing one temp directory.
   std::string WriteSpool(const std::string& content) {
-    const std::string path = ::testing::TempDir() + "spool_load_test_" +
-                             std::to_string(counter_++) + ".ndjson";
+    const std::string path =
+        ::testing::TempDir() + "spool_load_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+        std::to_string(::getpid()) + "_" + std::to_string(counter_++) +
+        ".ndjson";
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << content;
     out.close();
