@@ -8,12 +8,22 @@
 // wire stream through both routes in bulk batches, refreshes to
 // searchable, and reports events/s for each route plus a cross-route query
 // checksum (identical results are the typed route's correctness contract;
-// the full byte-level proof lives in typed_ingest_parity_test). Emits
-// BENCH_mb_ingest.json.
+// the full byte-level proof lives in typed_ingest_parity_test). A third
+// route restores the same documents from an NDJSON spool file with
+// service::LoadSpool (one large JSON refresh; the file is written before
+// the clock starts). Each route also reports the store's heap growth per
+// event (mallinfo2: arena chunks in use plus mmapped chunks, from before
+// the store is built to after the refresh) and its column bytes per event
+// (IndexStats::column_bytes). Emits BENCH_mb_ingest.json.
+#include <malloc.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,6 +32,7 @@
 #include "bench/harness_util.h"
 #include "common/clock.h"
 #include "common/random.h"
+#include "service/replay.h"
 #include "tracer/event.h"
 #include "tracer/wire.h"
 
@@ -91,6 +102,11 @@ tracer::WireEvent MakeEvent(Random& rng, std::size_t i) {
   return e;
 }
 
+std::uint64_t HeapBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
 double MsSince(Nanos start) {
   return static_cast<double>(SteadyClock::Instance()->NowNanos() - start) /
          1e6;
@@ -139,8 +155,8 @@ std::uint64_t QueryChecksum(const ElasticStore& store, std::size_t events,
 }
 
 struct RouteRun {
-  std::string route;  // "json" | "typed"
-  double ingest_ms = 0.0;       // BulkWire batches + final Refresh
+  std::string route;  // "json" | "typed" | "spool"
+  double ingest_ms = 0.0;       // bulk batches (or LoadSpool) + Refresh
   double column_build_ms = 0.0;
   double query_ms = 0.0;
   double events_per_sec = 0.0;
@@ -151,10 +167,28 @@ struct RouteRun {
   double refresh_pause_ms_p99 = 0.0;
   double filter_cache_hit_rate = 0.0;
   std::size_t typed_rows = 0;
+  double heap_bytes_per_event = 0.0;
+  double column_bytes_per_event = 0.0;
   std::uint64_t checksum = 0;
 };
 
+// The stream as an NDJSON spool, one WireEventToJson document per line.
+std::string WriteSpool(std::size_t events) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("mb_ingest_" + std::to_string(::getpid()) + ".ndjson"))
+          .string();
+  std::ofstream out(path, std::ios::trunc);
+  Random rng(42);
+  for (std::size_t i = 0; i < events; ++i) {
+    out << tracer::WireEventToJson(MakeEvent(rng, i), kSession).Dump() << "\n";
+  }
+  return path;
+}
+
 RouteRun RunRoute(const std::string& route, std::size_t events) {
+  const std::string spool = route == "spool" ? WriteSpool(events) : "";
+  const std::uint64_t heap_before = HeapBytes();
   ElasticStoreOptions options;
   options.shards_per_index = 4;
   ElasticStore store(options);
@@ -177,21 +211,35 @@ RouteRun RunRoute(const std::string& route, std::size_t events) {
     store.Bulk(kIndex, std::move(documents));
   };
 
-  Random rng(42);
-  std::vector<tracer::WireEvent> batch;
-  batch.reserve(kBatch);
   const Nanos start = SteadyClock::Instance()->NowNanos();
-  for (std::size_t i = 0; i < events; ++i) {
-    batch.push_back(MakeEvent(rng, i));
-    if (batch.size() == kBatch) {
-      ship(std::move(batch));
-      batch.clear();
-      batch.reserve(kBatch);
+  if (route == "spool") {
+    auto loaded = service::LoadSpool(&store, spool, kIndex);
+    std::filesystem::remove(spool);
+    if (!loaded.ok() || *loaded != events) {
+      std::printf("spool restore failed: %s\n",
+                  loaded.ok() ? "short load" : loaded.status().message().c_str());
+      std::exit(1);
     }
+  } else {
+    Random rng(42);
+    std::vector<tracer::WireEvent> batch;
+    batch.reserve(kBatch);
+    for (std::size_t i = 0; i < events; ++i) {
+      batch.push_back(MakeEvent(rng, i));
+      if (batch.size() == kBatch) {
+        ship(std::move(batch));
+        batch.clear();
+        batch.reserve(kBatch);
+      }
+    }
+    if (!batch.empty()) ship(std::move(batch));
+    store.Refresh(kIndex);
   }
-  if (!batch.empty()) ship(std::move(batch));
-  store.Refresh(kIndex);
   run.ingest_ms = MsSince(start);
+  // Before the query mix, whose filter bitmaps are not ingest cost.
+  run.heap_bytes_per_event =
+      (static_cast<double>(HeapBytes()) - static_cast<double>(heap_before)) /
+      static_cast<double>(events);
   run.events_per_sec =
       run.ingest_ms > 0 ? static_cast<double>(events) / (run.ingest_ms / 1e3)
                         : 0.0;
@@ -201,6 +249,8 @@ RouteRun RunRoute(const std::string& route, std::size_t events) {
   if (auto stats = store.Stats(kIndex); stats.ok()) {
     run.column_build_ms = static_cast<double>(stats->column_build_ns) / 1e6;
     run.typed_rows = stats->typed_rows;
+    run.column_bytes_per_event = static_cast<double>(stats->column_bytes) /
+                                 static_cast<double>(events);
     run.refresh_pause_ms_p50 = bench::PercentileMs(stats->refresh_pause_ns, 50);
     run.refresh_pause_ms_p99 = bench::PercentileMs(stats->refresh_pause_ns, 99);
     const double lookups = static_cast<double>(stats->filter_cache_hits +
@@ -227,26 +277,32 @@ int main(int argc, char** argv) {
   report.SetConfig("bulk_size", Json(static_cast<std::int64_t>(kBatch)));
   report.SetConfig("shards_per_index", Json(static_cast<std::int64_t>(4)));
 
-  std::printf("%-8s %-12s %-14s %-12s %-12s %-10s %-10s %-10s %-12s\n",
-              "route", "ingest_ms", "events_per_s", "colbuild_ms", "query_ms",
-              "pause_p50", "pause_p99", "cache_hit", "typed_rows");
+  std::printf(
+      "%-8s %-12s %-14s %-12s %-12s %-10s %-10s %-10s %-12s %-10s %-10s\n",
+      "route", "ingest_ms", "events_per_s", "colbuild_ms", "query_ms",
+      "pause_p50", "pause_p99", "cache_hit", "typed_rows", "heap_B/ev",
+      "col_B/ev");
 
   std::vector<RouteRun> runs;
-  for (const char* route : {"json", "typed"}) {
+  for (const char* route : {"json", "typed", "spool"}) {
     runs.push_back(RunRoute(route, events));
     const RouteRun& run = runs.back();
     std::printf(
-        "%-8s %-12.1f %-14.0f %-12.1f %-12.1f %-10.2f %-10.2f %-10.2f %-12zu\n",
+        "%-8s %-12.1f %-14.0f %-12.1f %-12.1f %-10.2f %-10.2f %-10.2f %-12zu "
+        "%-10.1f %-10.1f\n",
         run.route.c_str(), run.ingest_ms, run.events_per_sec,
         run.column_build_ms, run.query_ms, run.refresh_pause_ms_p50,
-        run.refresh_pause_ms_p99, run.filter_cache_hit_rate, run.typed_rows);
+        run.refresh_pause_ms_p99, run.filter_cache_hit_rate, run.typed_rows,
+        run.heap_bytes_per_event, run.column_bytes_per_event);
   }
 
   const RouteRun& json = runs[0];
   const RouteRun& typed = runs[1];
+  const RouteRun& spool = runs[2];
   const double speedup =
       typed.ingest_ms > 0 ? json.ingest_ms / typed.ingest_ms : 0.0;
-  const bool checksums_agree = json.checksum == typed.checksum;
+  const bool checksums_agree =
+      json.checksum == typed.checksum && json.checksum == spool.checksum;
 
   for (const RouteRun& run : runs) {
     Json row = Json::MakeObject();
@@ -259,8 +315,10 @@ int main(int argc, char** argv) {
     row.Set("refresh_pause_ms_p99", run.refresh_pause_ms_p99);
     row.Set("filter_cache_hit_rate", run.filter_cache_hit_rate);
     row.Set("typed_rows", static_cast<std::int64_t>(run.typed_rows));
+    row.Set("heap_bytes_per_event", run.heap_bytes_per_event);
+    row.Set("column_bytes_per_event", run.column_bytes_per_event);
     row.Set("speedup_vs_json",
-            run.route == "typed" ? speedup : 1.0);
+            run.ingest_ms > 0 ? json.ingest_ms / run.ingest_ms : 0.0);
     row.Set("checksum", static_cast<std::int64_t>(run.checksum));
     report.AddRow(std::move(row));
   }

@@ -60,15 +60,47 @@ std::uint32_t DocValueColumn::Intern(const std::string& value) {
   return it->second;
 }
 
+std::size_t DocValueColumn::bytes() const {
+  std::size_t total =
+      buf_->capacity * (sizeof(std::uint8_t) + sizeof(std::int64_t));
+  if (dbls_ != nullptr) total += buf_->capacity * sizeof(double);
+  if (strings_ != nullptr) {
+    total += strings_->capacity * sizeof(std::string);
+    // The lookup map belongs to the writer extending the column, so its
+    // size is taken from this version's dictionary: per entry a node (the
+    // key and ordinal, a next pointer, the cached hash) and a bucket.
+    total += dict_size_ * (sizeof(Lookup::value_type) + 3 * sizeof(void*));
+    for (std::size_t ord = 0; ord < dict_size_; ++ord) {
+      // A string past the small-string buffer owns a heap block, in the
+      // buffer and again as the lookup key.
+      if (values_[ord].capacity() > std::string().capacity()) {
+        total += 2 * (values_[ord].capacity() + 1);
+      }
+    }
+  }
+  const StringRanks& r = ranks();
+  total += (r.sorted_rank.capacity() + r.rank_to_ord.capacity()) *
+           sizeof(std::uint32_t);
+  return total;
+}
+
+void DocValueColumn::AllocateDoubles() {
+  dbl_buf_ = std::make_shared<double[]>(buf_->capacity);
+  dbls_ = dbl_buf_.get();
+}
+
 void DocValueColumn::Regrow(std::size_t capacity) {
   auto grown = std::make_shared<SlotBuffer>(capacity);
   std::copy_n(kinds_, size_, grown->kinds.get());
   std::copy_n(ints_, size_, grown->ints.get());
-  std::copy_n(dbls_, size_, grown->dbls.get());
   buf_ = std::move(grown);
   kinds_ = buf_->kinds.get();
   ints_ = buf_->ints.get();
-  dbls_ = buf_->dbls.get();
+  if (dbls_ != nullptr) {
+    const std::shared_ptr<double[]> old = std::move(dbl_buf_);
+    AllocateDoubles();
+    std::copy_n(old.get(), size_, dbls_);
+  }
 }
 
 void DocValueColumn::UndoExtension(const DocValueColumn& ext,
@@ -84,7 +116,9 @@ void DocValueColumn::UndoExtension(const DocValueColumn& ext,
   if (end > size_) {
     std::fill(kinds_ + size_, kinds_ + end, std::uint8_t{0});
     std::fill(ints_ + size_, ints_ + end, std::int64_t{0});
-    std::fill(dbls_ + size_, dbls_ + end, 0.0);
+    // A double array this column holds is shared with the extension; one
+    // the extension allocated itself dies with it.
+    if (dbls_ != nullptr) std::fill(dbls_ + size_, dbls_ + end, 0.0);
   }
 }
 
@@ -134,19 +168,19 @@ void ColumnSet::DecodeMember(DocValueColumn& col, std::size_t pos,
                              const Json& value) {
   switch (value.type()) {
     case Json::Type::kInt:
-      col.Set(pos, ValueKind::kInt, value.as_int(), value.as_double());
+      col.Set(pos, ValueKind::kInt, value.as_int());
       break;
     case Json::Type::kDouble:
-      col.Set(pos, ValueKind::kDouble, value.as_int(), value.as_double());
+      col.SetDouble(pos, value.as_int(), value.as_double());
       break;
     case Json::Type::kString:
-      col.Set(pos, ValueKind::kString, col.Intern(value.as_string()), 0.0);
+      col.Set(pos, ValueKind::kString, col.Intern(value.as_string()));
       break;
     case Json::Type::kBool:
-      col.Set(pos, ValueKind::kBool, value.as_bool() ? 1 : 0, 0.0);
+      col.Set(pos, ValueKind::kBool, value.as_bool() ? 1 : 0);
       break;
     default:  // null / array / object: present, but only via JSON
-      col.Set(pos, ValueKind::kOther, 0, 0.0);
+      col.Set(pos, ValueKind::kOther, 0);
       break;
   }
 }
@@ -161,7 +195,7 @@ void ColumnSet::AppendDoc(const Json& doc) {
 
 void ColumnSet::ReplaceRow(std::size_t pos, const Json& doc) {
   for (auto& [field, col] : columns_) {
-    col.Set(pos, ValueKind::kMissing, 0, 0.0);
+    col.Set(pos, ValueKind::kMissing, 0);
   }
   if (!doc.is_object()) return;
   for (const JsonMember& member : doc.as_object()) {
@@ -206,6 +240,12 @@ std::size_t ColumnSet::Reserve(std::size_t rows, std::size_t limit) {
   capacity_ = target;
   for (auto& [field, col] : columns_) col.Regrow(capacity_);
   return num_docs_;
+}
+
+std::size_t ColumnSet::bytes() const {
+  std::size_t total = 0;
+  for (const auto& [field, col] : columns_) total += col.bytes();
+  return total;
 }
 
 const DocValueColumn* ColumnSet::Find(std::string_view field) const {
@@ -388,7 +428,7 @@ CompiledQuery::Node CompiledQuery::Compile(const Query& query,
 }
 
 bool CompiledQuery::MatchesNode(const Node& node, std::size_t pos,
-                                const Json& doc) {
+                                std::span<const Json> docs) {
   const Query& query = *node.query;
   switch (query.type()) {
     case Query::Type::kMatchAll:
@@ -399,8 +439,10 @@ bool CompiledQuery::MatchesNode(const Node& node, std::size_t pos,
       const ValueKind kind = node.col->kind(pos);
       if (kind == ValueKind::kMissing) return false;
       if (kind == ValueKind::kOther) {
-        // Non-scalar value: defer to Json equality, as Query::Matches does.
-        const Json* value = doc.Find(query.field());
+        // Non-scalar value, which only a JSON row has: defer to Json
+        // equality, as Query::Matches does.
+        const Json* value =
+            pos < docs.size() ? docs[pos].Find(query.field()) : nullptr;
         if (value == nullptr) return false;
         for (const TermValue& tv : node.values) {
           if (*value == *tv.raw) return true;
@@ -415,14 +457,14 @@ bool CompiledQuery::MatchesNode(const Node& node, std::size_t pos,
             if (tv.kind == ValueKind::kInt
                     ? node.col->ints()[pos] == tv.i
                     : (tv.kind == ValueKind::kDouble &&
-                       node.col->dbls()[pos] == tv.d)) {
+                       node.col->dbl(pos) == tv.d)) {
               return true;
             }
             break;
           case ValueKind::kDouble:
             if ((tv.kind == ValueKind::kInt ||
                  tv.kind == ValueKind::kDouble) &&
-                node.col->dbls()[pos] == tv.d) {
+                node.col->dbl(pos) == tv.d) {
               return true;
             }
             break;
@@ -465,36 +507,35 @@ bool CompiledQuery::MatchesNode(const Node& node, std::size_t pos,
              node.col->kind(pos) != ValueKind::kMissing;
     case Query::Type::kAnd:
       for (const Node& child : node.children) {
-        if (!MatchesNode(child, pos, doc)) return false;
+        if (!MatchesNode(child, pos, docs)) return false;
       }
       return true;
     case Query::Type::kOr:
       for (const Node& child : node.children) {
-        if (MatchesNode(child, pos, doc)) return true;
+        if (MatchesNode(child, pos, docs)) return true;
       }
       return node.children.empty();
     case Query::Type::kNot:
-      return !MatchesNode(node.children.front(), pos, doc);
+      return !MatchesNode(node.children.front(), pos, docs);
   }
   return false;
 }
 
-FilterBitmap CompiledQuery::Eval(std::span<const Json> docs,
+FilterBitmap CompiledQuery::Eval(std::size_t rows, std::span<const Json> docs,
                                  FilterBitmapCache* cache) const {
-  return EvalNode(root_, docs, cache);
+  return EvalNode(root_, rows, docs, cache);
 }
 
-FilterBitmap CompiledQuery::EvalNode(const Node& node,
+FilterBitmap CompiledQuery::EvalNode(const Node& node, std::size_t n,
                                      std::span<const Json> docs,
                                      FilterBitmapCache* cache) {
-  const std::size_t n = docs.size();
   switch (node.query->type()) {
     case Query::Type::kMatchAll:
       return FilterBitmap(n, true);
     case Query::Type::kAnd: {
       FilterBitmap out(n, true);
       for (const Node& child : node.children) {
-        out.AndWith(EvalNode(child, docs, cache));
+        out.AndWith(EvalNode(child, n, docs, cache));
       }
       return out;
     }
@@ -503,12 +544,12 @@ FilterBitmap CompiledQuery::EvalNode(const Node& node,
       if (node.children.empty()) return FilterBitmap(n, true);
       FilterBitmap out(n, false);
       for (const Node& child : node.children) {
-        out.OrWith(EvalNode(child, docs, cache));
+        out.OrWith(EvalNode(child, n, docs, cache));
       }
       return out;
     }
     case Query::Type::kNot: {
-      FilterBitmap out = EvalNode(node.children.front(), docs, cache);
+      FilterBitmap out = EvalNode(node.children.front(), n, docs, cache);
       out.Negate();
       return out;
     }
@@ -522,7 +563,7 @@ FilterBitmap CompiledQuery::EvalNode(const Node& node,
       FilterBitmap out(n, false);
       if (!EvalLeafKernel(node, n, &out)) {
         for (std::size_t pos = 0; pos < n; ++pos) {
-          if (MatchesNode(node, pos, docs[pos])) out.Set(pos);
+          if (MatchesNode(node, pos, docs)) out.Set(pos);
         }
       }
       if (cache != nullptr) cache->Insert(key, out);

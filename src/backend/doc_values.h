@@ -1,9 +1,9 @@
 // Columnar doc-values for the ElasticStore query engine.
 //
-// At Refresh each SubShard materializes, next to its row-oriented `Json`
-// documents, one typed column per field (Lucene doc-values shape): a kind
-// byte per document slot plus parallel int64/double arrays and a string
-// dictionary with lexicographic ranks. Query evaluation, sorting, and
+// At Refresh each SubShard appends its new rows to one typed column per
+// field (Lucene doc-values shape): a kind byte and one int64 value per
+// document slot, a double array only in columns that hold a double, and a
+// string dictionary with lexicographic ranks. Query evaluation, sorting, and
 // aggregation then read flat arrays instead of calling `Json::Find` per
 // document per field — the difference between dashboard-rate analytics and
 // a per-document tree walk.
@@ -72,18 +72,21 @@ struct StringRanks {
   std::vector<std::uint32_t> rank_to_ord;
 };
 
-// Fixed-capacity slot storage of one column, zero-filled (kMissing, 0, 0.0)
-// at allocation and never resized: a writer can fill slots above a reader's
-// row count while the reader scans the slots below it.
+// Fixed-capacity slot storage of one column, zero-filled (kMissing, 0) at
+// allocation and never resized: a writer can fill slots above a reader's
+// row count while the reader scans the slots below it. Each slot is a kind
+// byte plus one int64 cell; the doubles of kDouble slots live in a separate
+// array of the same capacity that a column allocates only when it first
+// holds one (typed rows never do).
 struct SlotBuffer {
   explicit SlotBuffer(std::size_t capacity)
       : kinds(new std::uint8_t[capacity]()),
         ints(new std::int64_t[capacity]()),
-        dbls(new double[capacity]()) {}
+        capacity(capacity) {}
 
   std::unique_ptr<std::uint8_t[]> kinds;
   std::unique_ptr<std::int64_t[]> ints;
-  std::unique_ptr<double[]> dbls;
+  std::size_t capacity;
 };
 
 // One field's doc values over the slots of one ColumnSet. A column can share
@@ -97,25 +100,19 @@ class DocValueColumn {
   explicit DocValueColumn(std::size_t capacity)
       : buf_(std::make_shared<SlotBuffer>(capacity)),
         kinds_(buf_->kinds.get()),
-        ints_(buf_->ints.get()),
-        dbls_(buf_->dbls.get()) {}
+        ints_(buf_->ints.get()) {}
   DocValueColumn(DocValueColumn&&) noexcept = default;
   DocValueColumn& operator=(DocValueColumn&&) noexcept = default;
 
   // One entry per document slot (docid / stride), in slot order. kinds():
   // ValueKind per slot. ints(): kInt/kDouble Json::as_int(), kString
-  // dictionary ordinal, kBool 0/1. dbls(): numbers only, Json::as_double()
-  // (drives term equality across numeric types and sort comparisons,
-  // exactly like the JSON comparator).
+  // dictionary ordinal, kBool 0/1.
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::span<const std::uint8_t> kinds() const {
     return {kinds_, size_};
   }
   [[nodiscard]] std::span<const std::int64_t> ints() const {
     return {ints_, size_};
-  }
-  [[nodiscard]] std::span<const double> dbls() const {
-    return {dbls_, size_};
   }
 
   [[nodiscard]] ValueKind kind(std::size_t pos) const {
@@ -124,6 +121,20 @@ class DocValueColumn {
   [[nodiscard]] bool is_number(std::size_t pos) const {
     return kind(pos) == ValueKind::kInt || kind(pos) == ValueKind::kDouble;
   }
+  // Json::as_double() of a number slot: the stored double of a kDouble, the
+  // int cell of a kInt (drives term equality across numeric types and sort
+  // comparisons, exactly like the JSON comparator).
+  [[nodiscard]] double dbl(std::size_t pos) const {
+    return kind(pos) == ValueKind::kDouble ? dbls_[pos]
+                                           : static_cast<double>(ints_[pos]);
+  }
+  // Whether this column holds a double array (it ever held a kDouble).
+  [[nodiscard]] bool has_doubles() const { return dbls_ != nullptr; }
+  // Bytes this column holds, counted by capacity: slot cells, the double
+  // array, the dictionary (strings, plus the string -> ordinal map as one
+  // node and one bucket per entry) and rank tables. Reads nothing a
+  // concurrent extension of the column writes.
+  [[nodiscard]] std::size_t bytes() const;
   [[nodiscard]] std::string_view str(std::size_t pos) const {
     return values_[static_cast<std::size_t>(ints_[pos])];
   }
@@ -146,13 +157,20 @@ class DocValueColumn {
   void PrefixRankRange(std::string_view prefix, std::uint32_t* lo,
                        std::uint32_t* hi) const;
 
-  // Writes all three cells of one slot below the buffer's capacity (the
-  // owning ColumnSet reserves it).
-  void Set(std::size_t pos, ValueKind kind, std::int64_t i, double d) {
+  // Writes one slot below the buffer's capacity (the owning ColumnSet
+  // reserves it). A kDouble slot is written through SetDouble.
+  void Set(std::size_t pos, ValueKind kind, std::int64_t i) {
     kinds_[pos] = static_cast<std::uint8_t>(kind);
     ints_[pos] = i;
-    dbls_[pos] = d;
     if (pos >= size_) size_ = pos + 1;
+  }
+  // Writes a kDouble slot: `i` is its int shadow (Json::as_int(), what range
+  // filters and histograms read), `d` the value. Allocates the column's
+  // double array on first use.
+  void SetDouble(std::size_t pos, std::int64_t i, double d) {
+    if (dbls_ == nullptr) AllocateDoubles();
+    dbls_[pos] = d;
+    Set(pos, ValueKind::kDouble, i);
   }
   // The ordinal of `value`, added to the dictionary when new.
   std::uint32_t Intern(const std::string& value);
@@ -162,12 +180,15 @@ class DocValueColumn {
   using Lookup = std::unordered_map<std::string, std::uint32_t>;
 
   DocValueColumn(const DocValueColumn&) = default;
-  // Copies the slots into a new zero-filled buffer of `capacity`; a column
-  // still sharing the old buffer keeps it.
+  // Copies the slots (and the doubles, if any) into new zero-filled buffers
+  // of `capacity`; a column still sharing the old buffers keeps them.
   void Regrow(std::size_t capacity);
+  // A zero-filled double array at the slot buffer's capacity. An extension
+  // allocates its own, which the live column it extends never sees.
+  void AllocateDoubles();
   // Takes back what an unpublished extension `ext` of this column wrote into
   // the shared state: its strings leave the string map, and the slots it
-  // filled in this column's buffer (of `capacity` slots) read kMissing
+  // filled in this column's buffers (of `capacity` slots) read kMissing
   // again.
   void UndoExtension(const DocValueColumn& ext, std::size_t capacity);
   // Covers `slots` slots (the pad slots are already kMissing) and, if the
@@ -179,11 +200,13 @@ class DocValueColumn {
   }
 
   // Owns the slots; the raw pointers cache its arrays so a cell read is one
-  // load, as with a plain vector.
+  // load, as with a plain vector. The double array is shared like the slot
+  // buffer, and null until the column first holds a kDouble.
   std::shared_ptr<SlotBuffer> buf_;
   std::uint8_t* kinds_;
   std::int64_t* ints_;
-  double* dbls_;
+  std::shared_ptr<double[]> dbl_buf_;
+  double* dbls_ = nullptr;
   std::size_t size_ = 0;
   // The dictionary, all null until the first string. `strings_` holds this
   // version's first dict_size_ entries; `lookup_` (string -> ordinal) is
@@ -252,6 +275,8 @@ class ColumnSet {
   [[nodiscard]] std::size_t num_docs() const { return num_docs_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t num_fields() const { return columns_.size(); }
+  // DocValueColumn::bytes() summed over the columns.
+  [[nodiscard]] std::size_t bytes() const;
   [[nodiscard]] const DocValueColumn* Find(std::string_view field) const;
   template <typename Fn>
   void ForEachField(Fn&& fn) const {
@@ -359,11 +384,13 @@ class CompiledQuery {
  public:
   CompiledQuery(const Query& query, const ColumnSet& columns);
 
-  // The match bitmap over all `docs` slots, built from cached
+  // The match bitmap over the first `rows` slots, built from cached
   // per-predicate bitmaps where possible. Reads the columns for every
-  // scalar value and falls back to `docs[pos]` only for kOther slots; the
-  // result is exactly query.Matches(docs[pos]) for every slot.
-  [[nodiscard]] FilterBitmap Eval(std::span<const Json> docs,
+  // scalar value and falls back to `docs[pos]` only for kOther slots, which
+  // only JSON rows have: `docs` may stop short of `rows`, since the row
+  // store holds no document for a typed row. The result is exactly
+  // query.Matches(doc) for every slot's document.
+  [[nodiscard]] FilterBitmap Eval(std::size_t rows, std::span<const Json> docs,
                                   FilterBitmapCache* cache) const;
 
  private:
@@ -392,8 +419,10 @@ class CompiledQuery {
   };
 
   static Node Compile(const Query& query, const ColumnSet& columns);
-  static bool MatchesNode(const Node& node, std::size_t pos, const Json& doc);
-  static FilterBitmap EvalNode(const Node& node, std::span<const Json> docs,
+  static bool MatchesNode(const Node& node, std::size_t pos,
+                          std::span<const Json> docs);
+  static FilterBitmap EvalNode(const Node& node, std::size_t n,
+                               std::span<const Json> docs,
                                FilterBitmapCache* cache);
   // Vectorized leaf evaluation (backend/simd_kernels.h): fills `out` for the
   // predicate shapes the kernels cover (numeric ranges, exists, string/bool

@@ -73,6 +73,14 @@ struct IndexStats {
   std::size_t doc_value_fields = 0;
   std::uint64_t column_build_ns = 0;
   std::uint64_t column_rows_written = 0;
+  // Memory of the published segments' columns, counted by capacity: slot
+  // cells (a kind byte and an int64 each), double arrays (only in columns
+  // that hold a double), dictionaries (strings and their lookup maps) and
+  // rank tables.
+  std::uint64_t column_bytes = 0;
+  // Entries of the row store: JSON rows, plus a null entry for each typed
+  // row below a shard's last JSON row (0 on an index of typed rows only).
+  std::size_t row_store_docs = 0;
   std::uint64_t filter_cache_hits = 0;
   std::uint64_t filter_cache_misses = 0;
   std::uint64_t filter_cache_evictions = 0;

@@ -1,9 +1,11 @@
 // SIMD-friendly kernels for the columnar query engine.
 //
-// The doc-value columns are dense parallel arrays (kind byte + int64 +
-// double per slot), so the hot predicates — bitmap combination, numeric
-// range filters, ordinal equality, histogram binning — are flat loops over
-// contiguous memory with no per-element branches on shared state. The
+// The doc-value columns are dense parallel arrays (a kind byte and an int64
+// per slot; a double keeps its int64 shadow there too, and its value in a
+// side array the kernels never read), so the hot predicates — bitmap
+// combination, numeric range filters, ordinal equality, histogram binning —
+// are flat loops over contiguous memory with no per-element branches on
+// shared state. The
 // kernels here write those loops in the shape auto-vectorizers reliably
 // turn into vector code: word-at-a-time bitwise ops, 4–8× unrolled compare
 // loops accumulating into a bit mask, and branch-free bucket arithmetic.

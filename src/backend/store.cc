@@ -330,21 +330,25 @@ void ElasticStore::Refresh(const std::string& index_name) {
   index->column_rows_written.fetch_add(rows_written,
                                        std::memory_order_relaxed);
 
-  // Phase 2: the exclusive window — append the row store, swap the staged
-  // segment lists in, publish the docids. The column work already
-  // happened, so this pause is bounded by the staged row count, never by
-  // index size.
+  // Phase 2: the exclusive window — append the JSON rows to the row store,
+  // swap the staged segment lists in, publish the docids. The column work
+  // already happened, so this pause is bounded by the staged row count,
+  // never by index size; typed rows add only their flag.
   std::unique_lock refresh_lock = index->LockForMutation();
   const Nanos pause_start = SteadyClock::Instance()->NowNanos();
   for (std::size_t s = 0; s < num_shards; ++s) {
     SubShard& shard = *index->shards[s];
     std::unique_lock shard_lock(shard.mu);
     for (StagedRow& row : staged[s]) {
-      // Typed rows keep a null placeholder document: their fields live
-      // only in the columns.
-      shard.docs.push_back(std::move(row.doc));
+      if (row.wire != nullptr) {
+        ++shard.typed_rows;
+      } else {
+        // The row store reaches this row: typed rows skipped since its
+        // last JSON row get null entries.
+        shard.docs.resize(shard.typed.size());
+        shard.docs.push_back(std::move(row.doc));
+      }
       shard.typed.push_back(row.wire != nullptr ? 1 : 0);
-      if (row.wire != nullptr) ++shard.typed_rows;
     }
     if (builds[s] != nullptr) builds[s]->Commit(&shard.segments);
   }
@@ -376,9 +380,7 @@ std::vector<DocId> ElasticStore::MatchingDocs(const SubShard& shard,
   for (const auto& segment : shard.segments.segments()) {
     const CompiledQuery compiled(query, segment->columns);
     const FilterBitmap bitmap = compiled.Eval(
-        std::span<const Json>(shard.docs.data() + segment->base,
-                              segment->rows()),
-        &segment->cache);
+        segment->rows(), shard.SegmentDocs(*segment), &segment->cache);
     const std::size_t base = segment->base;
     bitmap.ForEachSet([&matches, &shard, base](std::size_t local) {
       matches.push_back(
@@ -517,7 +519,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
         case ValueKind::kInt:
         case ValueKind::kDouble:
           key.cls = SortKey::kNumber;
-          key.num = col->dbls()[local];
+          key.num = col->dbl(local);
           break;
         case ValueKind::kString:
           key.cls = SortKey::kString;
@@ -641,7 +643,7 @@ class ShardedAggSource final : public AggSource {
         case ValueKind::kInt:
         case ValueKind::kDouble:
           slice.ints[r] = col->ints()[local];
-          slice.dbls[r] = col->dbls()[local];
+          slice.dbls[r] = col->dbl(local);
           break;
         case ValueKind::kString:
           slice.strs[r] = col->str(local);
@@ -649,7 +651,7 @@ class ShardedAggSource final : public AggSource {
         case ValueKind::kBool:
           slice.ints[r] = col->ints()[local];
           break;
-        case ValueKind::kOther:
+        case ValueKind::kOther:  // only JSON rows hold one
           slice.raws[r] = (*shards_[s].docs)[pos].Find(field);
           break;
         case ValueKind::kMissing:
@@ -725,11 +727,16 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
       Json doc =
           MaterializeWireDoc(segment.columns, shard.segments.LocalPos(pos));
       if (!update(doc)) continue;
+      if (pos >= shard.docs.size()) shard.docs.resize(pos + 1);
       shard.docs[pos] = std::move(doc);
       shard.typed[pos] = 0;
       --shard.typed_rows;
     } else {
-      if (!update(shard.docs[pos])) continue;
+      // The callback edits a copy: a declined update must leave the stored
+      // document as it was, in step with the columns.
+      Json doc = shard.docs[pos];
+      if (!update(doc)) continue;
+      shard.docs[pos] = std::move(doc);
     }
     ++modified;
     modified_pos[s].push_back(pos);
@@ -768,8 +775,12 @@ Expected<IndexStats> ElasticStore::Stats(const std::string& index_name) const {
   IndexStats stats;
   for (const auto& shard : index->shards) {
     std::shared_lock shard_lock(shard->mu);
-    stats.doc_count += shard->docs.size();
+    stats.doc_count += shard->segments.num_rows();
     stats.typed_rows += shard->typed_rows;
+    stats.row_store_docs += shard->docs.size();
+    for (const auto& segment : shard->segments.segments()) {
+      stats.column_bytes += segment->columns.bytes();
+    }
     stats.doc_value_fields += shard->segments.num_fields();
     stats.filter_cache_hits += shard->segments.cache_hits();
     stats.filter_cache_misses += shard->segments.cache_misses();
@@ -806,7 +817,9 @@ Status ElasticStore::SaveIndex(const std::string& index_name,
   index->AwaitRefreshGate();
   std::shared_lock refresh_lock(index->refresh_mu);
   std::size_t doc_count = 0;
-  for (const auto& shard : index->shards) doc_count += shard->docs.size();
+  for (const auto& shard : index->shards) {
+    doc_count += shard->segments.num_rows();
+  }
   Json header = Json::MakeObject();
   header.Set("dio_index_snapshot", index_name);
   header.Set("docs", static_cast<std::int64_t>(doc_count));

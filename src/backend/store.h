@@ -20,6 +20,7 @@
 // a plain vector-of-documents reference model (tests/support/).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -27,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <thread>
 #include <string>
 #include <vector>
@@ -162,23 +164,36 @@ class ElasticStore : public QueryBackend {
     std::size_t stride = 1;  // num_shards of the owning index
 
     mutable std::shared_mutex mu;
-    std::vector<Json> docs;  // position = docid / stride
+    // The row store: the documents of JSON rows (Bulk, or typed rows an
+    // update-by-query converted), position = docid / stride. It ends at the
+    // last JSON row, so a shard of typed rows only keeps it empty; a typed
+    // row below that end has a null entry, and every position past it is
+    // typed.
+    std::vector<Json> docs;
 
     // The sub-shard's ordered segment list — sealed immutable blocks plus
-    // one growing tail, each with its own filter-bitmap cache. Covers the
-    // same positions as `docs` (segment index = pos / segment_docs).
+    // one growing tail, each with its own filter-bitmap cache. Covers every
+    // row position (segment index = pos / segment_docs).
     // Swapped/extended only under refresh_mu unique; read under refresh_mu
     // shared.
     SegmentedColumns segments;
 
-    // typed[pos] != 0 marks a row that arrived through BulkWire: its fields
-    // live only in `segments` and docs[pos] is a null placeholder. An
-    // update-by-query that modifies a typed row converts it to a JSON row.
+    // One flag per row: typed[pos] != 0 marks a row that arrived through
+    // BulkWire, whose fields live only in `segments`. An update-by-query
+    // that modifies a typed row converts it to a JSON row.
     std::vector<std::uint8_t> typed;
     std::size_t typed_rows = 0;
 
     [[nodiscard]] bool IsTyped(std::size_t pos) const {
       return pos < typed.size() && typed[pos] != 0;
+    }
+    // The JSON rows of one segment (fewer than its rows when the row store
+    // ends inside or before it).
+    [[nodiscard]] std::span<const Json> SegmentDocs(
+        const ColumnSegment& segment) const {
+      if (segment.base >= docs.size()) return {};
+      return {docs.data() + segment.base,
+              std::min(segment.rows(), docs.size() - segment.base)};
     }
   };
 

@@ -50,27 +50,26 @@ const std::vector<std::string>& WireDocFields() {
 }
 
 WireColumnAppender::WireColumnAppender(ColumnSet* columns)
-    : columns_(columns) {
-  const std::vector<std::string>& fields = WireDocFields();
-  cols_.reserve(fields.size());
-  for (const std::string& field : fields) {
-    // Eagerly creating every canonical column is benign: an all-kMissing
-    // column behaves exactly like an absent one in every query path.
-    cols_.push_back(&columns_->TypedColumn(field));
-  }
+    : columns_(columns), cols_(kNumFields, nullptr) {}
+
+DocValueColumn* WireColumnAppender::Col(std::size_t field) {
+  DocValueColumn*& col = cols_[field];
+  // First write of this field to this ColumnSet: the column is created (or
+  // found, on an extended tail) now, and its earlier slots read kMissing.
+  if (col == nullptr) col = &columns_->TypedColumn(WireDocFields()[field]);
+  return col;
 }
 
-void WireColumnAppender::SetInt(DocValueColumn* col, std::size_t pos,
+void WireColumnAppender::SetInt(std::size_t field, std::size_t pos,
                                 std::int64_t v) {
-  // Json int members carry their double shadow for cross-type numeric
-  // equality and sorting; mirror ColumnSet::DecodeMember.
-  col->Set(pos, ValueKind::kInt, v, static_cast<double>(v));
+  Col(field)->Set(pos, ValueKind::kInt, v);
 }
 
-void WireColumnAppender::SetString(DocValueColumn* col, std::size_t pos,
+void WireColumnAppender::SetString(std::size_t field, std::size_t pos,
                                    std::string_view s) {
+  DocValueColumn* col = Col(field);
   scratch_.assign(s.data(), s.size());
-  col->Set(pos, ValueKind::kString, col->Intern(scratch_), 0.0);
+  col->Set(pos, ValueKind::kString, col->Intern(scratch_));
 }
 
 std::size_t WireColumnAppender::Append(const tracer::WireEvent& raw,
@@ -80,51 +79,51 @@ std::size_t WireColumnAppender::Append(const tracer::WireEvent& raw,
   const os::SyscallDescriptor& desc = os::Describe(nr);
 
   // Unconditional fields — present in every wire document.
-  SetString(cols_[kSession], pos, session);
-  SetString(cols_[kSyscall], pos, desc.name);
-  SetString(cols_[kCategory], pos, os::CategoryName(desc.category));
-  SetInt(cols_[kPid], pos, raw.pid);
-  SetInt(cols_[kTid], pos, raw.tid);
-  SetString(cols_[kComm], pos, {raw.comm, raw.comm_len});
-  SetString(cols_[kProcName], pos, {raw.proc_name, raw.proc_name_len});
-  SetInt(cols_[kTimeEnter], pos, raw.time_enter);
-  SetInt(cols_[kTimeExit], pos, raw.time_exit);
-  SetInt(cols_[kDurationNs], pos, raw.time_exit - raw.time_enter);
-  SetInt(cols_[kRet], pos, raw.ret);
-  SetInt(cols_[kCpu], pos, raw.cpu);
+  SetString(kSession, pos, session);
+  SetString(kSyscall, pos, desc.name);
+  SetString(kCategory, pos, os::CategoryName(desc.category));
+  SetInt(kPid, pos, raw.pid);
+  SetInt(kTid, pos, raw.tid);
+  SetString(kComm, pos, {raw.comm, raw.comm_len});
+  SetString(kProcName, pos, {raw.proc_name, raw.proc_name_len});
+  SetInt(kTimeEnter, pos, raw.time_enter);
+  SetInt(kTimeExit, pos, raw.time_exit);
+  SetInt(kDurationNs, pos, raw.time_exit - raw.time_enter);
+  SetInt(kRet, pos, raw.ret);
+  SetInt(kCpu, pos, raw.cpu);
 
   // Conditional fields — the exact WireEventToJson presence rules; a field
   // not written here stays kMissing, matching a document without the member.
-  if (raw.fd >= 0 && desc.takes_fd) SetInt(cols_[kFd], pos, raw.fd);
-  if (raw.path_len > 0) SetString(cols_[kPath], pos, {raw.path, raw.path_len});
+  if (raw.fd >= 0 && desc.takes_fd) SetInt(kFd, pos, raw.fd);
+  if (raw.path_len > 0) SetString(kPath, pos, {raw.path, raw.path_len});
   if (raw.path2_len > 0) {
-    SetString(cols_[kPath2], pos, {raw.path2, raw.path2_len});
+    SetString(kPath2, pos, {raw.path2, raw.path2_len});
   }
   if (raw.xattr_len > 0) {
-    SetString(cols_[kXattrName], pos, {raw.xattr_name, raw.xattr_len});
+    SetString(kXattrName, pos, {raw.xattr_name, raw.xattr_len});
   }
   if (desc.data_related || raw.count > 0) {
-    SetInt(cols_[kCount], pos, static_cast<std::int64_t>(raw.count));
+    SetInt(kCount, pos, static_cast<std::int64_t>(raw.count));
   }
-  if (raw.arg_offset >= 0) SetInt(cols_[kArgOffset], pos, raw.arg_offset);
-  if (raw.whence >= 0) SetInt(cols_[kWhence], pos, raw.whence);
-  if (raw.flags != 0) SetInt(cols_[kFlags], pos, raw.flags);
-  if (raw.mode != 0) SetInt(cols_[kMode], pos, raw.mode);
+  if (raw.arg_offset >= 0) SetInt(kArgOffset, pos, raw.arg_offset);
+  if (raw.whence >= 0) SetInt(kWhence, pos, raw.whence);
+  if (raw.flags != 0) SetInt(kFlags, pos, raw.flags);
+  if (raw.mode != 0) SetInt(kMode, pos, raw.mode);
   if (raw.file_type != static_cast<std::uint8_t>(os::FileType::kUnknown)) {
-    SetString(cols_[kFileType], pos,
+    SetString(kFileType, pos,
               os::FileTypeName(static_cast<os::FileType>(raw.file_type)));
   }
-  if (raw.file_offset >= 0) SetInt(cols_[kFileOffset], pos, raw.file_offset);
+  if (raw.file_offset >= 0) SetInt(kFileOffset, pos, raw.file_offset);
   if (raw.tag_valid != 0) {
     tracer::FileTag tag;
     tag.valid = true;
     tag.dev = raw.tag_dev;
     tag.ino = raw.tag_ino;
     tag.first_access_ts = raw.tag_ts;
-    SetString(cols_[kFileTag], pos, tag.ToKey());
-    SetInt(cols_[kTagDev], pos, static_cast<std::int64_t>(raw.tag_dev));
-    SetInt(cols_[kTagIno], pos, static_cast<std::int64_t>(raw.tag_ino));
-    SetInt(cols_[kTagTs], pos, raw.tag_ts);
+    SetString(kFileTag, pos, tag.ToKey());
+    SetInt(kTagDev, pos, static_cast<std::int64_t>(raw.tag_dev));
+    SetInt(kTagIno, pos, static_cast<std::int64_t>(raw.tag_ino));
+    SetInt(kTagTs, pos, raw.tag_ts);
   }
   return pos;
 }
@@ -142,7 +141,7 @@ Json MaterializeWireDoc(const ColumnSet& columns, std::size_t pos) {
         doc.Set(field, std::string(col->str(pos)));
         break;
       case ValueKind::kDouble:
-        doc.Set(field, col->dbls()[pos]);
+        doc.Set(field, col->dbl(pos));
         break;
       case ValueKind::kBool:
         doc.Set(field, col->ints()[pos] != 0);

@@ -36,10 +36,13 @@ namespace dio::backend {
 // a typed row walks it so rebuilt documents serialize byte-identically.
 const std::vector<std::string>& WireDocFields();
 
-// Appends typed rows to one sub-shard's ColumnSet. Column pointers are
-// resolved once at construction (std::map nodes don't move), so Append is
-// pure array stores plus dictionary interning — call FinishBatch on the
-// ColumnSet afterwards, as with AppendDoc.
+// Appends typed rows to one sub-shard's ColumnSet. A column is created on
+// its field's first non-missing write, as AppendDoc does, so a set holds
+// only the fields its rows have (a walfsync block never gets `whence` or
+// `xattr_name`). Column pointers are cached once resolved (std::map nodes
+// don't move), so Append is pure array stores plus dictionary interning —
+// call FinishBatch on the ColumnSet afterwards, as with AppendDoc; it pads
+// a late column's earlier slots to kMissing.
 class WireColumnAppender {
  public:
   explicit WireColumnAppender(ColumnSet* columns);
@@ -49,11 +52,14 @@ class WireColumnAppender {
   std::size_t Append(const tracer::WireEvent& raw, std::string_view session);
 
  private:
-  void SetInt(DocValueColumn* col, std::size_t pos, std::int64_t v);
-  void SetString(DocValueColumn* col, std::size_t pos, std::string_view s);
+  // The column of WireDocFields()[field], created on first use.
+  DocValueColumn* Col(std::size_t field);
+  void SetInt(std::size_t field, std::size_t pos, std::int64_t v);
+  void SetString(std::size_t field, std::size_t pos, std::string_view s);
 
   ColumnSet* columns_;
-  // One cached column per canonical field, in WireDocFields() order.
+  // One cached column per canonical field, in WireDocFields() order; null
+  // until the field's first write.
   std::vector<DocValueColumn*> cols_;
   std::string scratch_;  // dictionary-lookup key buffer (reused, no allocs)
 };

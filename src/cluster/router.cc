@@ -1323,6 +1323,8 @@ Expected<backend::IndexStats> ClusterRouter::Stats(
     stats.doc_value_fields += sub->doc_value_fields;
     stats.column_build_ns += sub->column_build_ns;
     stats.column_rows_written += sub->column_rows_written;
+    stats.column_bytes += sub->column_bytes;
+    stats.row_store_docs += sub->row_store_docs;
     stats.filter_cache_hits += sub->filter_cache_hits;
     stats.filter_cache_misses += sub->filter_cache_misses;
     stats.filter_cache_evictions += sub->filter_cache_evictions;

@@ -24,6 +24,7 @@ Json SessionInfo::ToJson() const {
   if (filter_cache.is_object()) out.Set("filter_cache", filter_cache);
   out.Set("column_rows_written",
           static_cast<std::int64_t>(column_rows_written));
+  out.Set("column_bytes", static_cast<std::int64_t>(column_bytes));
   return out;
 }
 
@@ -189,6 +190,7 @@ SessionInfo DioService::SnapshotLocked(const Session& session) const {
               static_cast<std::int64_t>(stats->filter_cache_evictions));
     info.filter_cache = cache;
     info.column_rows_written = stats->column_rows_written;
+    info.column_bytes = stats->column_bytes;
   }
   return info;
 }

@@ -74,6 +74,9 @@ struct SessionInfo {
   // appended rows plus rows copied when a column buffer regrew (see
   // IndexStats::column_rows_written).
   std::uint64_t column_rows_written = 0;
+  // Bytes the backend's published columns hold for this session's index
+  // (IndexStats::column_bytes).
+  std::uint64_t column_bytes = 0;
 
   [[nodiscard]] Json ToJson() const;
 };

@@ -166,6 +166,19 @@ std::vector<SearchRequest> ParityRequests() {
   deep_page.from = 300;
   deep_page.size = 100;
   out.push_back(deep_page);
+  // Sort keys some matched documents lack: those documents sort last
+  // either way.
+  SearchRequest by_path;
+  by_path.query =
+      Query::Terms("syscall", {Json("read"), Json("openat"), Json("close")});
+  by_path.sort = {{"file_path", true}};
+  by_path.size = 60;
+  out.push_back(by_path);
+  SearchRequest by_comm;
+  by_comm.query = Query::Not(Query::Term("syscall", "read"));
+  by_comm.sort = {{"comm", false}, {"file_path", true}};
+  by_comm.size = 60;
+  out.push_back(by_comm);
   return out;
 }
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -367,13 +368,13 @@ std::string DumpSegments(const SegmentedColumns& segments) {
            " sealed=" + std::to_string(segment->sealed) + "\n";
     segment->columns.ForEachField([&](const std::string& field) {
       const DocValueColumn& col = *segment->columns.Find(field);
-      out += " " + field + ":";
+      out += " " + field + (col.has_doubles() ? " (doubles):" : ":");
       for (std::size_t pos = 0; pos < col.size(); ++pos) {
         out += " " + std::to_string(col.kinds()[pos]) + "/";
         out += col.kind(pos) == ValueKind::kString
                    ? std::string(col.str(pos))
                    : std::to_string(col.ints()[pos]) + "/" +
-                         std::to_string(col.dbls()[pos]);
+                         std::to_string(col.dbl(pos));
       }
       out += " | dict:";
       for (const std::string& value : col.dict()) out += " " + value;
@@ -493,6 +494,208 @@ TEST(SegmentRetentionTest, TinyCacheEvictsButNeverLies) {
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->filter_cache_hits, 0u);
   EXPECT_EQ(cold->filter_cache_evictions, 0u);
+}
+
+// ---- the on-demand double array ---------------------------------------------
+// A column allocates its double array only when it first holds a kDouble.
+// Field "v" holds only ints (some beyond 2^53, where an int and its double
+// part ways) until its first block has sealed; then the tail gets its first
+// double inside the buffer it shares with the published tail, the tail
+// regrows with doubles in it, and an update-by-query turns ints of a sealed
+// block into doubles and a double back into an int. After every step,
+// term, range, sort, histogram and percentile answers must be
+// byte-identical to the reference model's.
+
+constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+
+Json VDoc(int n, Json v) {
+  Json doc = Json::MakeObject();
+  doc.Set("n", static_cast<std::int64_t>(n));
+  doc.Set("v", std::move(v));
+  return doc;
+}
+
+// Ints only: small values, 2^53 and its odd neighbour (the same double),
+// and values far past 2^53 on both sides.
+Json IntV(int n) {
+  switch (n % 6) {
+    case 0: return Json(kTwo53 + 1);
+    case 1: return Json(kTwo53);
+    case 2: return Json((std::int64_t{1} << 62) + 3);
+    case 3: return Json(-(std::int64_t{1} << 60) - 1);
+    default: return Json(static_cast<std::int64_t>(n % 40));
+  }
+}
+
+Json MixedV(int n) {
+  switch (n % 4) {
+    case 0: return Json(2.5 + n);
+    case 1: return Json(static_cast<double>(kTwo53));
+    default: return IntV(n);
+  }
+}
+
+void ExpectSameDoubleAnswers(const ElasticStore& store,
+                             const testing::ReferenceStore& model,
+                             const std::string& step) {
+  std::vector<SearchRequest> requests;
+  for (const Query& query :
+       {Query::Term("v", Json(kTwo53 + 1)),
+        Query::Term("v", Json(static_cast<double>(kTwo53))),
+        Query::Term("v", Json(4.5)),
+        Query::Terms("v", {Json(std::int64_t{7}), Json(10.5), Json(2.5)}),
+        Query::Range("v", 0, 50), Query::Range("v", kTwo53, std::nullopt),
+        Query::Range("v", std::nullopt, -1)}) {
+    SearchRequest request;
+    request.query = query;
+    request.size = 1000;
+    requests.push_back(request);
+  }
+  for (const bool ascending : {true, false}) {
+    SearchRequest sorted;
+    sorted.sort = {{"v", ascending}, {"n", false}};
+    sorted.size = 1000;
+    requests.push_back(sorted);
+  }
+  for (const SearchRequest& request : requests) {
+    auto got = store.Search(kIndex, request);
+    auto want = model.Search(kIndex, request);
+    ASSERT_TRUE(got.ok() && want.ok()) << step;
+    EXPECT_EQ(DumpResult(*got), DumpResult(*want))
+        << step << ": " << request.query.ToString();
+  }
+  for (const Aggregation& agg :
+       {Aggregation::Histogram("v", 16),
+        Aggregation::Percentiles("v", {1.0, 50.0, 99.0}),
+        Aggregation::Stats("v")}) {
+    auto got = store.Aggregate(kIndex, Query::MatchAll(), agg);
+    auto want = model.Aggregate(kIndex, Query::MatchAll(), agg);
+    ASSERT_TRUE(got.ok() && want.ok()) << step;
+    EXPECT_EQ(DumpAgg(*got), DumpAgg(*want)) << step;
+  }
+}
+
+TEST(SegmentRetentionTest, FirstDoubleAfterSealMatchesReferenceModel) {
+  ElasticStoreOptions options;
+  options.shards_per_index = 2;
+  options.segment_docs = 64;
+  ElasticStore store(options);
+  testing::ReferenceStore model;
+  int n = 0;
+  const auto ingest = [&](int count, Json (*value)(int)) {
+    std::vector<Json> docs;
+    for (int i = 0; i < count; ++i, ++n) docs.push_back(VDoc(n, value(n)));
+    store.Bulk(kIndex, docs);
+    model.Bulk(kIndex, std::move(docs));
+    store.Refresh(kIndex);
+    model.Refresh(kIndex);
+  };
+  // 75 rows per shard: a sealed block of 64 and a tail of 11 (a buffer of
+  // exactly 11 slots), then one more row each regrows the tail to 32.
+  ingest(150, IntV);
+  ExpectSameDoubleAnswers(store, model, "ints, sealed");
+  const std::uint64_t int_bytes = store.Stats(kIndex)->column_bytes;
+  ingest(2, IntV);
+  ExpectSameDoubleAnswers(store, model, "ints, regrown tail");
+  // The first doubles land in the tail's shared buffer...
+  ingest(4, MixedV);
+  ExpectSameDoubleAnswers(store, model, "first double in the tail");
+  EXPECT_GT(store.Stats(kIndex)->column_bytes, int_bytes);
+  // ...and ride the tail's regrowth from 32 slots to 64.
+  ingest(40, MixedV);
+  ExpectSameDoubleAnswers(store, model, "doubles through a regrowth");
+
+  // Ints of the sealed blocks become doubles, and a double becomes an int
+  // past 2^53.
+  const auto to_double = [](Json& doc) {
+    doc.Set("v", Json(static_cast<double>(doc.GetInt("n")) + 0.5));
+    return true;
+  };
+  auto sealed_updates = store.UpdateByQuery(
+      kIndex, Query::Range("n", 0, 40), to_double);
+  auto model_updates = model.UpdateByQuery(
+      kIndex, Query::Range("n", 0, 40), to_double);
+  ASSERT_TRUE(sealed_updates.ok() && model_updates.ok());
+  EXPECT_EQ(*sealed_updates, *model_updates);
+  ExpectSameDoubleAnswers(store, model, "sealed ints updated to doubles");
+  const auto to_int = [](Json& doc) {
+    doc.Set("v", Json(kTwo53 + 3));
+    return true;
+  };
+  const Query one_double = Query::Term("v", Json(4.5));
+  ASSERT_EQ(*store.UpdateByQuery(kIndex, one_double, to_int),
+            *model.UpdateByQuery(kIndex, one_double, to_int));
+  ExpectSameDoubleAnswers(store, model, "a double updated to an int");
+  ingest(60, IntV);
+  ExpectSameDoubleAnswers(store, model, "tail sealed, fresh block");
+}
+
+// A build dropped without Commit takes its doubles back with it: when it
+// gave a column its first double, the published column still has no double
+// array; when the published column had one, the slots the build wrote into
+// it are cleared. Either way the list stays indistinguishable from a twin
+// that never saw the build, and compiled term and range bitmaps agree with
+// Query::Matches on the documents.
+TEST(SegmentRetentionTest, DroppedBuildTakesItsDoublesBack) {
+  SegmentedColumns dropped(64, 8);
+  SegmentedColumns reference(64, 8);
+  std::vector<Json> published;
+  int n = 0;
+  const auto rows = [&n](int count, Json (*value)(int)) {
+    std::vector<Json> docs;
+    for (int i = 0; i < count; ++i, ++n) docs.push_back(VDoc(n, value(n)));
+    return docs;
+  };
+  const auto publish = [&](const std::vector<Json>& docs) {
+    for (SegmentedColumns* segments : {&dropped, &reference}) {
+      StageRows(segments, docs);
+    }
+    published.insert(published.end(), docs.begin(), docs.end());
+  };
+  const auto expect_twins = [&](const std::string& step) {
+    EXPECT_EQ(DumpSegments(dropped), DumpSegments(reference)) << step;
+    for (const Query& query :
+         {Query::Term("v", Json(kTwo53 + 1)),
+          Query::Term("v", Json(static_cast<double>(kTwo53))),
+          Query::Terms("v", {Json(std::int64_t{7}), Json(3.5)}),
+          Query::Range("v", 0, 50), Query::Range("v", kTwo53, std::nullopt)}) {
+      for (const auto& segment : dropped.segments()) {
+        const std::span<const Json> docs(published.data() + segment->base,
+                                         segment->rows());
+        const FilterBitmap bitmap =
+            CompiledQuery(query, segment->columns)
+                .Eval(segment->rows(), docs, nullptr);
+        for (std::size_t pos = 0; pos < docs.size(); ++pos) {
+          EXPECT_EQ(bitmap.Test(pos), query.Matches(docs[pos]))
+              << step << ": " << query.ToString() << " row "
+              << segment->base + pos;
+        }
+      }
+    }
+  };
+  const auto tail_v = [&dropped] {
+    return dropped.segments().back()->columns.Find("v");
+  };
+
+  // 10 + 3 rows: a tail of 13 in a buffer of 32, ints only.
+  publish(rows(10, IntV));
+  publish(rows(3, IntV));
+  ASSERT_NE(tail_v(), nullptr);
+  EXPECT_FALSE(tail_v()->has_doubles());
+  // Dropped: first doubles in the shared buffer, then a regrowth.
+  StageRows(&dropped, rows(30, MixedV), /*publish=*/false);
+  EXPECT_FALSE(tail_v()->has_doubles());
+  publish(rows(3, IntV));
+  EXPECT_FALSE(tail_v()->has_doubles());
+  expect_twins("first double dropped");
+
+  // Now the published tail holds a double; a dropped build writes more into
+  // the double array it shares, below the buffer's capacity.
+  publish(rows(4, MixedV));
+  EXPECT_TRUE(tail_v()->has_doubles());
+  StageRows(&dropped, rows(5, MixedV), /*publish=*/false);
+  publish(rows(5, IntV));
+  expect_twins("shared doubles dropped");
 }
 
 }  // namespace

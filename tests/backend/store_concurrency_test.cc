@@ -206,7 +206,10 @@ TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
 // the readers are scanning, regrows them as the tail passes each capacity
 // level (8, 16, 32, 64), and adds a new path string every batch, so the
 // shared string buffers grow and new rank tables are merged under the
-// readers' feet.
+// readers' feet. From batch kJsonFrom on, each refresh also brings two JSON
+// rows with a double-valued "lat_ms", so a tail's first double (and the
+// double array it allocates on demand) lands while readers sort and
+// aggregate on that field.
 // TSan must see no race between the build and readers walking the live
 // segment list, and every answer a reader gets must be byte-identical to
 // the same query against the reference model fed the stream up to the same
@@ -220,7 +223,15 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
 
   constexpr int kBatches = 50;
   constexpr int kBatchSize = 20;
-  constexpr std::size_t kTotalDocs = kBatches * kBatchSize;
+  constexpr int kJsonFrom = 20;
+  constexpr int kJsonPerBatch = 2;
+  // Rows visible after batch b's refresh.
+  constexpr auto rows_after = [](int b) {
+    return static_cast<std::size_t>(
+        (b + 1) * kBatchSize +
+        (b >= kJsonFrom ? (b - kJsonFrom + 1) * kJsonPerBatch : 0));
+  };
+  constexpr std::size_t kTotalDocs = rows_after(kBatches - 1);
 
   auto wire = [](int docnum) {
     tracer::WireEvent e;
@@ -252,6 +263,16 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
       batch.push_back(wire(b * kBatchSize + i));
     }
     store.BulkWire("seg", "hammer", std::move(batch));
+    if (b >= kJsonFrom) {
+      std::vector<Json> docs;
+      for (int i = 0; i < kJsonPerBatch; ++i) {
+        Json doc = Event(b * kBatchSize + i);
+        doc.Set("path", "/data/db/wal-" + std::to_string(b));
+        doc.Set("lat_ms", 0.25 + b + 0.5 * i);
+        docs.push_back(std::move(doc));
+      }
+      store.Bulk("seg", std::move(docs));
+    }
     store.Refresh("seg");
   };
   auto flag_fsyncs = [](QueryBackend& store) {
@@ -264,7 +285,7 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   // replay pins the expected answer per refresh.
   auto sorted_window = [](const QueryBackend& store, std::size_t* docs) {
     SearchRequest request;
-    request.sort = {{"path", false}, {"time_enter", true}};
+    request.sort = {{"path", false}, {"lat_ms", false}, {"time_enter", true}};
     request.size = 12;
     auto result = store.Search("seg", request);
     if (!result.ok()) return std::string("error");
@@ -280,14 +301,16 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   auto path_terms = [](const QueryBackend& store, std::size_t* docs) {
     auto agg = store.Aggregate(
         "seg", Query::Prefix("syscall", ""),
-        Aggregation::Terms("syscall").SubAgg(
-            "paths", Aggregation::Terms("path", 0)));
+        Aggregation::Terms("syscall")
+            .SubAgg("paths", Aggregation::Terms("path", 0))
+            .SubAgg("lat", Aggregation::Percentiles("lat_ms", {50.0, 99.0})));
     if (!agg.ok()) return std::string("error");
     std::size_t total = 0;
     std::string out;
     for (const AggBucket& bucket : agg->buckets) {
       total += static_cast<std::size_t>(bucket.doc_count);
-      out += bucket.key.Dump() + "=" + std::to_string(bucket.doc_count) + "[";
+      out += bucket.key.Dump() + "=" + std::to_string(bucket.doc_count) +
+             bucket.sub.at("lat").metrics.Dump() + "[";
       for (const AggBucket& sub : bucket.sub.at("paths").buckets) {
         out += sub.key.Dump() + ":" + std::to_string(sub.doc_count) + ",";
       }
@@ -321,8 +344,7 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   std::thread writer([&] {
     for (int b = 0; b < kBatches; ++b) {
       ingest(store, b);
-      visible.store(static_cast<std::size_t>((b + 1) * kBatchSize),
-                    std::memory_order_release);
+      visible.store(rows_after(b), std::memory_order_release);
       if (b % 10 == 9) {
         // Rewrites rows inside sealed blocks while readers hold their
         // cached bitmaps; only the touched segments may drop caches.
@@ -396,7 +418,8 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   // Update-by-query materializes the rows it rewrites (they stop being
   // typed), so typed_rows is the untouched remainder.
   EXPECT_GT(stats->typed_rows, 0u);
-  EXPECT_LE(stats->typed_rows, kTotalDocs);
+  EXPECT_LE(stats->typed_rows,
+            static_cast<std::size_t>(kBatches * kBatchSize));
   EXPECT_GT(stats->sealed_segments, 0u);
   EXPECT_EQ(stats->refreshes, static_cast<std::uint64_t>(kBatches));
   // The tails regrew on the way to each seal.

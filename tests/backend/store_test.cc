@@ -4,8 +4,10 @@
 
 #include <thread>
 
+#include "backend/typed_ingest.h"
 #include "common/random.h"
 #include "support/reference_store.h"
+#include "trace/corpus.h"
 #include "tracer/wire.h"
 
 namespace dio::backend {
@@ -157,6 +159,128 @@ TEST_F(StoreTest, UpdateByQueryChangedValueNotMatchedByStaleTerm) {
   EXPECT_EQ(*store_.Count("stale", Query::Term("syscall", Json("read"))), 0u);
   EXPECT_EQ(*store_.Count("stale", Query::Term("syscall", Json("pread64"))),
             1u);
+}
+
+// A callback that edits the document and then declines the update must
+// leave the row exactly as it was: the hit, and every query over the
+// columns. Checked on a JSON row and on a typed row.
+void ExpectDeclinedUpdateLeavesRow(ElasticStore& store,
+                                   const std::string& index) {
+  SearchRequest all;
+  auto before = store.Search(index, all);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->hits.size(), 1u);
+  auto updated = store.UpdateByQuery(index, Query::MatchAll(), [](Json& doc) {
+    doc.Set("syscall", "write");
+    return false;
+  });
+  ASSERT_TRUE(updated.ok());
+  EXPECT_EQ(*updated, 0u);
+  auto after = store.Search(index, all);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->hits.size(), 1u);
+  EXPECT_EQ(after->hits[0].source.Dump(), before->hits[0].source.Dump());
+  EXPECT_EQ(after->hits[0].source.GetString("syscall"), "read");
+  EXPECT_EQ(*store.Count(index, Query::Term("syscall", Json("read"))), 1u);
+  EXPECT_EQ(*store.Count(index, Query::Term("syscall", Json("write"))), 0u);
+}
+
+TEST_F(StoreTest, DeclinedUpdateLeavesJsonRowUnchanged) {
+  store_.Bulk("decline", {Event("read", 1, 1, 0)});
+  store_.Refresh("decline");
+  ExpectDeclinedUpdateLeavesRow(store_, "decline");
+}
+
+TEST_F(StoreTest, DeclinedUpdateLeavesTypedRowUnchanged) {
+  tracer::WireEvent e;
+  e.nr = static_cast<std::uint8_t>(os::SyscallNr::kRead);
+  e.phase = 2;
+  e.pid = 7;
+  e.tid = 7;
+  e.time_enter = 10;
+  e.time_exit = 15;
+  store_.BulkWire("decline", "s", {e});
+  store_.Refresh("decline");
+  ExpectDeclinedUpdateLeavesRow(store_, "decline");
+  EXPECT_EQ(store_.Stats("decline")->typed_rows, 1u);
+}
+
+// Typed rows keep no row-store entry: an index of typed rows only has an
+// empty row store, and a JSON row after typed ones grows it just far enough
+// to hold that row.
+TEST_F(StoreTest, TypedRowsKeepNoRowStoreEntry) {
+  std::vector<tracer::WireEvent> records(10);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].nr = static_cast<std::uint8_t>(os::SyscallNr::kWrite);
+    records[i].phase = 2;
+    records[i].time_enter = static_cast<std::int64_t>(i);
+  }
+  store_.BulkWire("rows", "s", records);
+  store_.Refresh("rows");
+  auto typed_only = store_.Stats("rows");
+  ASSERT_TRUE(typed_only.ok());
+  EXPECT_EQ(typed_only->doc_count, 10u);
+  EXPECT_EQ(typed_only->row_store_docs, 0u);
+
+  // Docid 10 is position 2 of sub-shard 2 (4 sub-shards): that shard's row
+  // store grows to 3 entries, the others stay empty.
+  store_.Bulk("rows", {Event("read", 1, 1, 0)});
+  store_.Refresh("rows");
+  auto mixed = store_.Stats("rows");
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_EQ(mixed->doc_count, 11u);
+  EXPECT_EQ(mixed->row_store_docs, 3u);
+  SearchRequest all;
+  all.size = 20;
+  auto hits = store_.Search("rows", all);
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits->hits.size(), 11u);
+  EXPECT_EQ(hits->hits[2].source.GetString("syscall"), "write");
+  EXPECT_EQ(hits->hits[10].source.GetString("syscall"), "read");
+}
+
+// Memory gate for typed rows: a slot costs a kind byte and one int64, a
+// column exists only once a row writes it, and typed rows keep no row-store
+// entry. 16,384 walfsync rows in one refresh (a 4,096-row tail per
+// sub-shard, below the 65,536-row seal) must hold at most 10 B per present
+// column plus 8 B of dictionary per row. A layout of 27 columns with an
+// int64 and a double per slot (459 B/row) fails it.
+TEST(ColumnBytesTest, TypedWalfsyncRowsPayOnlyForTheirCells) {
+  constexpr std::size_t kRows = 16'384;
+  const std::vector<tracer::WireEvent> events =
+      trace::GenerateCorpusEvents(trace::CorpusClass::kWalFsync, kRows, 1);
+  ElasticStoreOptions options;
+  options.segment_docs = 65'536;
+  ElasticStore store(options);
+  store.BulkWire("wal", "walfsync", events);
+  store.Refresh("wal");
+  auto stats = store.Stats("wal");
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->doc_count, kRows);
+  EXPECT_EQ(stats->typed_rows, kRows);
+  EXPECT_EQ(stats->row_store_docs, 0u);
+  const double columns_present =
+      static_cast<double>(stats->doc_value_fields) /
+      static_cast<double>(options.shards_per_index);
+  const double bytes_per_row =
+      static_cast<double>(stats->column_bytes) / static_cast<double>(kRows);
+  EXPECT_LE(bytes_per_row, 10.0 * columns_present + 8.0)
+      << stats->column_bytes << " B over " << columns_present << " columns";
+
+  // The same rows through one appender: no column holds a double array,
+  // and fields no walfsync row has get no column at all.
+  ColumnSet columns;
+  WireColumnAppender appender(&columns);
+  for (const tracer::WireEvent& e : events) appender.Append(e, "walfsync");
+  columns.FinishBatch();
+  EXPECT_LT(columns.num_fields(), WireDocFields().size());
+  for (const char* absent : {"whence", "xattr_name", "arg_offset"}) {
+    EXPECT_EQ(columns.Find(absent), nullptr) << absent;
+  }
+  columns.ForEachField([&columns](const std::string& field) {
+    EXPECT_FALSE(columns.Find(field)->has_doubles()) << field;
+    EXPECT_EQ(columns.Find(field)->size(), columns.num_docs()) << field;
+  });
 }
 
 TEST_F(StoreTest, AggregateTermsWithSubHistogram) {

@@ -189,6 +189,19 @@ std::vector<SearchRequest> ParityRequests() {
   deep_page.from = 300;
   deep_page.size = 100;
   out.push_back(deep_page);
+  // Sort keys some matched rows lack: those rows sort last either way.
+  SearchRequest by_path;
+  by_path.query = Query::Terms(
+      "syscall", {Json("read"), Json("openat"), Json("fsync"), Json("stat")});
+  by_path.sort = {{"path", true}};
+  by_path.size = 60;
+  out.push_back(by_path);
+  SearchRequest by_offset;
+  by_offset.query =
+      Query::Terms("syscall", {Json("write"), Json("lseek"), Json("close")});
+  by_offset.sort = {{"file_offset", false}, {"path", true}};
+  by_offset.size = 60;
+  out.push_back(by_offset);
   return out;
 }
 

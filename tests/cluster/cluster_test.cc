@@ -227,6 +227,9 @@ TEST(ClusterRouterTest, ScatterGatherMatchesSingleStore) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->doc_count, 12u * 33u);
   EXPECT_EQ(stats->bulk_requests, 12u);
+  // Column bytes are summed over the shards: at least a kind byte and an
+  // int64 per row.
+  EXPECT_GE(stats->column_bytes, 9u * stats->doc_count);
   EXPECT_EQ(router.VerifyConvergence("events"), std::vector<std::string>{});
 }
 

@@ -282,6 +282,8 @@ TEST_F(ServiceTest, SessionInfoCarriesTransportCounters) {
   EXPECT_GT(indexed, 0);
   EXPECT_GE(j.GetInt("column_rows_written"), indexed);
   EXPECT_LE(j.GetInt("column_rows_written"), 2 * indexed);
+  // And the columns' memory: a kind byte and an int64 per row at least.
+  EXPECT_GE(j.GetInt("column_bytes"), 9 * indexed);
 }
 
 TEST_F(ServiceTest, BadTransportConfigRejectedAtStart) {
