@@ -13,8 +13,10 @@
 // service::LoadSpool (one large JSON refresh; the file is written before
 // the clock starts). Each route also reports the store's heap growth per
 // event (mallinfo2: arena chunks in use plus mmapped chunks, from before
-// the store is built to after the refresh) and its column bytes per event
-// (IndexStats::column_bytes). Emits BENCH_mb_ingest.json.
+// the store is built to after the refresh and the end-of-stream
+// ElasticStore::TrimTails, which runs after the clock stops) and its
+// column bytes per event (IndexStats::column_bytes). Emits
+// BENCH_mb_ingest.json.
 #include <malloc.h>
 #include <unistd.h>
 
@@ -236,6 +238,9 @@ RouteRun RunRoute(const std::string& route, std::size_t events) {
     store.Refresh(kIndex);
   }
   run.ingest_ms = MsSince(start);
+  // The stream has ended: the store keeps exactly its rows, as after a
+  // BulkClient::Flush.
+  store.TrimTails(kIndex);
   // Before the query mix, whose filter bitmaps are not ingest cost.
   run.heap_bytes_per_event =
       (static_cast<double>(HeapBytes()) - static_cast<double>(heap_before)) /

@@ -66,6 +66,8 @@ void BulkClient::Flush() {
     FilePathCorrelator correlator(store_);
     (void)correlator.Run(index_);
   }
+  // The stream has ended here: the index keeps exactly its rows.
+  store_->TrimTails(index_);
 }
 
 void BulkClient::IndexBatch(std::vector<Json> documents) {

@@ -58,7 +58,9 @@ class BulkClient final : public transport::Transport,
   [[nodiscard]] std::string_view name() const override { return "bulk"; }
 
   // Shared by both interfaces: refreshes the index (and optionally runs
-  // the correlation algorithm). Synchronous, so there is nothing to drain.
+  // the correlation algorithm), then trims its tails to exactly their rows
+  // (ElasticStore::TrimTails), since a flush ends the stream. Synchronous,
+  // so there is nothing to drain.
   void Flush() override;
 
   // tracer::EventSink facade for direct use without a pipeline.

@@ -44,7 +44,13 @@ void DocValueColumn::PrefixRankRange(std::string_view prefix,
 }
 
 std::uint32_t DocValueColumn::Intern(const std::string& value) {
-  if (lookup_ == nullptr) lookup_ = std::make_shared<Lookup>();
+  if (lookup_ == nullptr) {
+    lookup_ = std::make_shared<Lookup>();
+    lookup_->reserve(dict_size_);
+    for (std::size_t ord = 0; ord < dict_size_; ++ord) {
+      lookup_->emplace(values_[ord], static_cast<std::uint32_t>(ord));
+    }
+  }
   auto [it, inserted] = lookup_->try_emplace(
       value, static_cast<std::uint32_t>(dict_size_));
   if (!inserted) return it->second;
@@ -66,15 +72,19 @@ std::size_t DocValueColumn::bytes() const {
   if (dbls_ != nullptr) total += buf_->capacity * sizeof(double);
   if (strings_ != nullptr) {
     total += strings_->capacity * sizeof(std::string);
-    // The lookup map belongs to the writer extending the column, so its
-    // size is taken from this version's dictionary: per entry a node (the
-    // key and ordinal, a next pointer, the cached hash) and a bucket.
-    total += dict_size_ * (sizeof(Lookup::value_type) + 3 * sizeof(void*));
+    // The lookup map, while the column holds one, belongs to the writer
+    // extending the column, so its size is taken from this version's
+    // dictionary: per entry a node (the key and ordinal, a next pointer,
+    // the cached hash) and a bucket.
+    const bool mapped = lookup_ != nullptr;
+    if (mapped) {
+      total += dict_size_ * (sizeof(Lookup::value_type) + 3 * sizeof(void*));
+    }
     for (std::size_t ord = 0; ord < dict_size_; ++ord) {
       // A string past the small-string buffer owns a heap block, in the
       // buffer and again as the lookup key.
       if (values_[ord].capacity() > std::string().capacity()) {
-        total += 2 * (values_[ord].capacity() + 1);
+        total += (mapped ? 2 : 1) * (values_[ord].capacity() + 1);
       }
     }
   }
@@ -103,9 +113,26 @@ void DocValueColumn::Regrow(std::size_t capacity) {
   }
 }
 
+void DocValueColumn::TrimStrings() {
+  if (strings_ == nullptr || strings_->capacity == dict_size_) return;
+  auto exact = std::make_shared<StringBuffer>(dict_size_);
+  std::copy_n(values_, dict_size_, exact->values.get());
+  strings_ = std::move(exact);
+  values_ = strings_->values.get();
+}
+
+bool DocValueColumn::exact() const {
+  return buf_->capacity == size_ && lookup_ == nullptr &&
+         (strings_ == nullptr || strings_->capacity == dict_size_);
+}
+
 void DocValueColumn::UndoExtension(const DocValueColumn& ext,
                                    std::size_t capacity) {
-  if (lookup_ != nullptr && lookup_ == ext.lookup_) {
+  // Whatever the extension did with its own map pointer (shared this one,
+  // dropped it when its block sealed, or rebuilt one because this column
+  // holds none), only this column's map can hold its strings, and they are
+  // exactly the entries past dict_size_.
+  if (lookup_ != nullptr) {
     for (std::size_t ord = dict_size_; ord < ext.dict_size_; ++ord) {
       lookup_->erase(ext.values_[ord]);
     }
@@ -240,6 +267,35 @@ std::size_t ColumnSet::Reserve(std::size_t rows, std::size_t limit) {
   capacity_ = target;
   for (auto& [field, col] : columns_) col.Regrow(capacity_);
   return num_docs_;
+}
+
+ColumnSet ColumnSet::Trimmed(std::size_t* rows_copied) const {
+  // Every column's slot buffer has the set's capacity.
+  const bool regrow = capacity_ != num_docs_;
+  *rows_copied = regrow ? num_docs_ : 0;
+  ColumnSet out;
+  out.num_docs_ = num_docs_;
+  out.capacity_ = num_docs_;
+  for (const auto& [field, col] : columns_) {
+    DocValueColumn copy(col);
+    copy.lookup_.reset();
+    if (regrow) copy.Regrow(num_docs_);
+    copy.TrimStrings();
+    out.columns_.emplace(field, std::move(copy));
+  }
+  return out;
+}
+
+bool ColumnSet::exact() const {
+  if (capacity_ != num_docs_) return false;
+  for (const auto& [field, col] : columns_) {
+    if (!col.exact()) return false;
+  }
+  return true;
+}
+
+void ColumnSet::DropLookups() {
+  for (auto& [field, col] : columns_) col.lookup_.reset();
 }
 
 std::size_t ColumnSet::bytes() const {

@@ -132,8 +132,8 @@ class DocValueColumn {
   [[nodiscard]] bool has_doubles() const { return dbls_ != nullptr; }
   // Bytes this column holds, counted by capacity: slot cells, the double
   // array, the dictionary (strings, plus the string -> ordinal map as one
-  // node and one bucket per entry) and rank tables. Reads nothing a
-  // concurrent extension of the column writes.
+  // node and one bucket per entry while the column holds one) and rank
+  // tables. Reads nothing a concurrent extension of the column writes.
   [[nodiscard]] std::size_t bytes() const;
   [[nodiscard]] std::string_view str(std::size_t pos) const {
     return values_[static_cast<std::size_t>(ints_[pos])];
@@ -172,7 +172,8 @@ class DocValueColumn {
     dbls_[pos] = d;
     Set(pos, ValueKind::kDouble, i);
   }
-  // The ordinal of `value`, added to the dictionary when new.
+  // The ordinal of `value`, added to the dictionary when new. A column
+  // that dropped its string -> ordinal map rebuilds it here first.
   std::uint32_t Intern(const std::string& value);
 
  private:
@@ -186,10 +187,16 @@ class DocValueColumn {
   // A zero-filled double array at the slot buffer's capacity. An extension
   // allocates its own, which the live column it extends never sees.
   void AllocateDoubles();
+  // Copies the dictionary into a string buffer of exactly its entries; a
+  // column still sharing the old buffer keeps it.
+  void TrimStrings();
+  // Whether the slot and string buffers hold exactly this column's slots
+  // and entries, and no string -> ordinal map is kept.
+  [[nodiscard]] bool exact() const;
   // Takes back what an unpublished extension `ext` of this column wrote into
-  // the shared state: its strings leave the string map, and the slots it
-  // filled in this column's buffers (of `capacity` slots) read kMissing
-  // again.
+  // the shared state: its strings leave the string map (if this column
+  // still holds one), and the slots it filled in this column's buffers (of
+  // `capacity` slots) read kMissing again.
   void UndoExtension(const DocValueColumn& ext, std::size_t capacity);
   // Covers `slots` slots (the pad slots are already kMissing) and, if the
   // dictionary grew, builds this version's rank tables by merging the new
@@ -213,6 +220,9 @@ class DocValueColumn {
   // read and written only by the one writer extending the column, which is
   // why it can be shared and updated in place; readers resolve ordinals
   // through `ranks_`, which covers dict_size_ once the batch is finished.
+  // Sealed blocks, trimmed tails and segments an update-by-query rewrote
+  // drop `lookup_` (only a later Intern needs it, and that rebuilds it
+  // from the dictionary).
   std::shared_ptr<StringBuffer> strings_;
   const std::string* values_ = nullptr;
   std::size_t dict_size_ = 0;
@@ -271,6 +281,20 @@ class ColumnSet {
   // `limit` rows thus ends with no slack, and its regrowths copy fewer
   // than `limit` rows. Returns the rows copied.
   std::size_t Reserve(std::size_t rows, std::size_t limit);
+  // A copy of this set in slot buffers of exactly num_docs() slots, each
+  // dictionary in a string buffer of exactly its entries, rank tables
+  // shared and no string -> ordinal maps: the end-of-stream trim of a tail
+  // that stopped growing. Slot buffers that are already exact are shared,
+  // not copied (a later append regrows the copy from its exact capacity
+  // either way). Reads only what readers of this set read, so it may run
+  // beside them. Sets `*rows_copied` to the slot rows copied.
+  [[nodiscard]] ColumnSet Trimmed(std::size_t* rows_copied) const;
+  // Whether Trimmed() would hold exactly what this set holds.
+  [[nodiscard]] bool exact() const;
+  // Drops every column's string -> ordinal map (a sealed block, or a
+  // segment an update-by-query has rewritten): only appends to a tail
+  // reuse it, and the next Intern rebuilds it from the dictionary.
+  void DropLookups();
 
   [[nodiscard]] std::size_t num_docs() const { return num_docs_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

@@ -66,18 +66,23 @@ struct IndexStats {
   std::uint64_t bulk_requests = 0;
   std::uint64_t updates = 0;
   // Columnar engine: fields with doc-value columns (summed over sub-shards),
-  // cumulative time spent building columns, column rows refreshes wrote
-  // (appended rows plus rows copied when a full buffer regrew: between one
-  // and about two per indexed row, since a refresh never copies the tail it
-  // extends), and filter-bitmap cache traffic.
+  // cumulative time spent building columns, column rows written (appended
+  // rows, rows copied when a full buffer regrew, and rows an end-of-stream
+  // trim copied: between one and about three per indexed row, since a
+  // refresh never copies the tail it extends), and filter-bitmap cache
+  // traffic.
   std::size_t doc_value_fields = 0;
   std::uint64_t column_build_ns = 0;
   std::uint64_t column_rows_written = 0;
   // Memory of the published segments' columns, counted by capacity: slot
   // cells (a kind byte and an int64 each), double arrays (only in columns
-  // that hold a double), dictionaries (strings and their lookup maps) and
-  // rank tables.
+  // that hold a double), dictionaries (strings, and their lookup maps where
+  // a column still keeps one) and rank tables.
   std::uint64_t column_bytes = 0;
+  // Row slots the published segments' buffers hold room for. Sealed blocks
+  // hold exactly their rows, so column_slots - doc_count is the unsealed
+  // tails' growth slack (0 after ElasticStore::TrimTails).
+  std::uint64_t column_slots = 0;
   // Entries of the row store: JSON rows, plus a null entry for each typed
   // row below a shard's last JSON row (0 on an index of typed rows only).
   std::size_t row_store_docs = 0;

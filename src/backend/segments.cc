@@ -47,6 +47,30 @@ std::uint64_t SegmentedColumns::cache_evictions() const {
   return total;
 }
 
+std::shared_ptr<ColumnSegment> SegmentedColumns::TrimmedTail(
+    std::size_t* rows_copied) const {
+  *rows_copied = 0;
+  if (segments_.empty() || segments_.back()->sealed ||
+      segments_.back()->columns.exact()) {
+    return nullptr;
+  }
+  const ColumnSegment& tail = *segments_.back();
+  auto trimmed = std::make_shared<ColumnSegment>(tail.base, cache_entries_);
+  trimmed->columns = tail.columns.Trimmed(rows_copied);
+  return trimmed;
+}
+
+std::shared_ptr<ColumnSegment> SegmentedColumns::ReplaceTail(
+    std::shared_ptr<ColumnSegment> trimmed) {
+  assert(!segments_.empty() && segments_.back()->end() == trimmed->end());
+  // The copy holds the same rows, so cumulative cache stats carry over;
+  // its bitmaps are rebuilt on demand.
+  trimmed->cache.CarryCountersFrom(segments_.back()->cache);
+  std::swap(segments_.back(), trimmed);
+  ++generation_;
+  return trimmed;
+}
+
 // ---- StagedSegmentBuild -----------------------------------------------------
 
 StagedSegmentBuild::StagedSegmentBuild(const SegmentedColumns& base,
@@ -108,6 +132,7 @@ void StagedSegmentBuild::Finish() {
     if (segment_docs_ != 0 && staged_[i]->rows() >= segment_docs_) {
       staged_[i]->sealed = true;
     }
+    if (staged_[i]->sealed) staged_[i]->columns.DropLookups();
   }
 }
 
@@ -120,7 +145,7 @@ void StagedSegmentBuild::Commit(SegmentedColumns* target) {
   (void)base_rows_;
   live_tail_.reset();
   extension_.reset();
-  target->segments_ = std::move(staged_);
+  target->segments_.swap(staged_);
   target->num_rows_ =
       target->segments_.empty() ? 0 : target->segments_.back()->end();
   ++target->generation_;

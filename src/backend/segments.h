@@ -85,6 +85,18 @@ class SegmentedColumns {
     return *segments_[SegmentIndexFor(pos)];
   }
 
+  // The end-of-stream trim, in a refresh's two halves. TrimmedTail() builds
+  // an exact copy of the unsealed tail (ColumnSet::Trimmed, which sets
+  // `*rows_copied`) and may run beside readers, as long as the caller
+  // keeps every other mutator out; it returns null when there is no tail
+  // or the tail is already exact. ReplaceTail() publishes that copy under
+  // the exclusive lock and returns the replaced tail, for the caller to
+  // release once it has unlocked.
+  [[nodiscard]] std::shared_ptr<ColumnSegment> TrimmedTail(
+      std::size_t* rows_copied) const;
+  std::shared_ptr<ColumnSegment> ReplaceTail(
+      std::shared_ptr<ColumnSegment> trimmed);
+
   // Union field count / summed cache traffic across segments (IndexStats).
   [[nodiscard]] std::size_t num_fields() const;
   [[nodiscard]] std::uint64_t cache_hits() const;
@@ -132,7 +144,8 @@ class StagedSegmentBuild {
   [[nodiscard]] ColumnSet& tail() { return tail_->columns; }
 
   // FinishBatch on every staged segment that grew (pads columns, re-ranks
-  // only dictionaries that changed — sealed blocks keep their ranks).
+  // only dictionaries that changed — sealed blocks keep their ranks), and
+  // drops the string -> ordinal maps of the blocks this build sealed.
   void Finish();
   [[nodiscard]] std::size_t staged_rows() const { return staged_rows_; }
   // Column rows this build wrote: the appended rows plus the rows copied
@@ -141,7 +154,10 @@ class StagedSegmentBuild {
     return staged_rows_ + copied_rows_;
   }
 
-  // Publishes the staged list into `target` under the exclusive lock.
+  // Publishes the staged list into `target` under the exclusive lock. The
+  // replaced list stays with the build, so what only it referenced (the
+  // extended tail, and with it a map the sealed block dropped) is freed
+  // when the build is destroyed, after the caller unlocks.
   void Commit(SegmentedColumns* target);
 
  private:

@@ -371,6 +371,50 @@ void ElasticStore::RefreshAll() {
   for (const std::string& name : ListIndices()) Refresh(name);
 }
 
+std::size_t ElasticStore::TrimTails(const std::string& index_name) {
+  const std::shared_ptr<Index> index = Find(index_name);
+  if (index == nullptr) return 0;
+  std::scoped_lock ingest_lock(index->ingest_mu);
+
+  // Off-lock, as in refresh phase 1: every mutator holds ingest_mu, so the
+  // tails and row flags being copied cannot change, and readers only read
+  // them too.
+  const std::size_t num_shards = index->num_shards();
+  std::vector<std::shared_ptr<ColumnSegment>> tails(num_shards);
+  std::vector<std::optional<std::vector<std::uint8_t>>> typed(num_shards);
+  std::size_t rows_copied = 0;
+  bool any = false;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const SubShard& shard = *index->shards[s];
+    std::size_t copied = 0;
+    tails[s] = shard.segments.TrimmedTail(&copied);
+    rows_copied += copied;
+    if (shard.typed.capacity() > shard.typed.size()) {
+      typed[s].emplace(shard.typed.begin(), shard.typed.end());
+    }
+    any = any || tails[s] != nullptr || typed[s].has_value();
+  }
+  if (!any) return 0;
+
+  // The exclusive window only swaps pointers; the replaced tails and flag
+  // vectors are released after it, with the locals holding them.
+  std::vector<std::shared_ptr<ColumnSegment>> replaced(num_shards);
+  {
+    std::unique_lock refresh_lock = index->LockForMutation();
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      SubShard& shard = *index->shards[s];
+      std::unique_lock shard_lock(shard.mu);
+      if (tails[s] != nullptr) {
+        replaced[s] = shard.segments.ReplaceTail(std::move(tails[s]));
+      }
+      if (typed[s].has_value()) shard.typed.swap(*typed[s]);
+    }
+  }
+  index->column_rows_written.fetch_add(rows_copied,
+                                       std::memory_order_relaxed);
+  return rows_copied;
+}
+
 std::vector<DocId> ElasticStore::MatchingDocs(const SubShard& shard,
                                               const Query& query) {
   // One segment at a time against that segment's bitmap cache: sealed
@@ -745,7 +789,9 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
   // Rewrite just the modified slots in place and invalidate only the
   // touched segments' caches: blocks the update never reached keep their
   // bitmaps and their dictionary ranks (a rewrite may add dictionary
-  // entries, but FinishBatch re-ranks only dictionaries that grew).
+  // entries, but FinishBatch re-ranks only dictionaries that grew). The
+  // string -> ordinal maps the rewrite rebuilt are dropped again: only
+  // appends to a tail reuse them, and the next refresh rebuilds its own.
   for (std::size_t s = 0; s < num_shards; ++s) {
     if (modified_pos[s].empty()) continue;
     SubShard& shard = *index->shards[s];
@@ -761,6 +807,7 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
       if (touched[k] == 0) continue;
       ColumnSegment& segment = *shard.segments.segments()[k];
       segment.columns.FinishBatch();
+      segment.columns.DropLookups();
       segment.cache.Clear();
     }
   }
@@ -780,6 +827,7 @@ Expected<IndexStats> ElasticStore::Stats(const std::string& index_name) const {
     stats.row_store_docs += shard->docs.size();
     for (const auto& segment : shard->segments.segments()) {
       stats.column_bytes += segment->columns.bytes();
+      stats.column_slots += segment->columns.capacity();
     }
     stats.doc_value_fields += shard->segments.num_fields();
     stats.filter_cache_hits += shard->segments.cache_hits();

@@ -114,6 +114,18 @@ class ElasticStore : public QueryBackend {
   // Makes all buffered documents searchable.
   void Refresh(const std::string& index) override;
   void RefreshAll();
+  // End of stream: trims each sub-shard's unsealed tail to exactly its
+  // rows. A tail regrows in steps (ColumnSet::Reserve), so a stream that
+  // stops growing would otherwise keep up to twice the slots, dictionary
+  // strings and row flags it needs. Like a refresh, the exact copy is
+  // built off-lock while queries run and swapped in under the brief
+  // exclusive window; the copy also drops the writer's string -> ordinal
+  // maps. Returns the slot rows copied (0 for a tail whose slots were
+  // already exact, such as one filled by a single refresh), which also
+  // count in IndexStats::column_rows_written. A tail that is already exact
+  // is left alone, and a later Bulk/Refresh simply regrows the tail from
+  // its exact capacity.
+  std::size_t TrimTails(const std::string& index);
 
   [[nodiscard]] Expected<SearchResult> Search(
       const std::string& index, const SearchRequest& request) const override;
@@ -225,11 +237,14 @@ class ElasticStore : public QueryBackend {
     std::atomic<std::uint64_t> bulk_requests{0};
     std::atomic<std::uint64_t> updates{0};
     std::atomic<std::uint64_t> column_build_ns{0};
+    // Rows written into column buffers: appended rows, rows copied when a
+    // full tail regrows, and rows copied by TrimTails.
     std::atomic<std::uint64_t> column_rows_written{0};
     std::atomic<std::uint64_t> refreshes{0};
-    // Serializes mutators (Refresh, UpdateByQuery) end-to-end, so a staged
-    // off-lock column build can never race another mutation of the segment
-    // lists it snapshotted. Always acquired before refresh_mu.
+    // Serializes mutators (Refresh, UpdateByQuery, TrimTails) end-to-end,
+    // so a staged off-lock column build or tail copy can never race
+    // another mutation of the segment lists it snapshotted. Always acquired
+    // before refresh_mu.
     std::mutex ingest_mu;
     // Readers take it shared; mutators take it unique so a refresh becomes
     // visible to queries atomically across sub-shards. Refresh holds it

@@ -1324,6 +1324,7 @@ Expected<backend::IndexStats> ClusterRouter::Stats(
     stats.column_build_ns += sub->column_build_ns;
     stats.column_rows_written += sub->column_rows_written;
     stats.column_bytes += sub->column_bytes;
+    stats.column_slots += sub->column_slots;
     stats.row_store_docs += sub->row_store_docs;
     stats.filter_cache_hits += sub->filter_cache_hits;
     stats.filter_cache_misses += sub->filter_cache_misses;

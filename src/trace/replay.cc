@@ -358,7 +358,10 @@ void StoreIngestSink::IndexWire(std::string_view session,
   store_->BulkWire(index_, session, std::move(records));
 }
 
-void StoreIngestSink::Flush() { store_->Refresh(index_); }
+void StoreIngestSink::Flush() {
+  store_->Refresh(index_);
+  store_->TrimTails(index_);
+}
 
 Expected<std::uint64_t> BackendQueryDigest(const backend::ElasticStore& store,
                                            const std::string& index) {

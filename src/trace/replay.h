@@ -135,8 +135,9 @@ class ReplayDriver {
 };
 
 // EventSink that lands wire batches in an ElasticStore index (the inject
-// target for parity tests and mb_replay). Thread-safe to the extent the
-// store is.
+// target for parity tests and mb_replay). Flush ends the stream: it
+// refreshes the index and trims its tails (ElasticStore::TrimTails).
+// Thread-safe to the extent the store is.
 class StoreIngestSink final : public tracer::EventSink {
  public:
   StoreIngestSink(backend::ElasticStore* store, std::string index)

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -696,6 +697,255 @@ TEST(SegmentRetentionTest, DroppedBuildTakesItsDoublesBack) {
   StageRows(&dropped, rows(5, MixedV), /*publish=*/false);
   publish(rows(5, IntV));
   expect_twins("shared doubles dropped");
+}
+
+// ---- the end-of-stream trim -------------------------------------------------
+// TrimTails copies each unsealed tail into buffers of exactly its rows. One
+// stream is trimmed at several points: mid-growth (a tail in a regrown
+// buffer), with no tail (every block sealed), right after a seal (a fresh
+// tail) and, with segment_docs = 0, on a tail that never seals. After each
+// trim the index holds exactly its rows (column_slots == doc_count), a
+// second trim finds nothing to copy, and every read is byte-identical to
+// the reference model's. Then the stream goes on: appends regrow the
+// trimmed tail from its exact capacity, and update-by-query rewrites rows
+// in sealed blocks and in the trimmed tail (interning strings the blocks
+// hold and one they do not), and the answers must still agree. A rewrite
+// leaves no string -> ordinal map behind, so it keeps a tail exact.
+
+std::string AllRows(const QueryBackend& store) {
+  SearchRequest request;
+  request.size = std::numeric_limits<std::size_t>::max();
+  auto result = store.Search(kIndex, request);
+  return result.ok() ? DumpResult(*result) : "search-error";
+}
+
+void ExpectSameAnswers(const ElasticStore& store,
+                       const testing::ReferenceStore& model, int docnum,
+                       const std::string& step) {
+  EXPECT_EQ(AllRows(store), AllRows(model)) << step;
+  for (std::size_t which = 0; which < 5; ++which) {
+    EXPECT_EQ(ReadOp(store, which, docnum), ReadOp(model, which, docnum))
+        << step << ": read op " << which;
+  }
+  for (const char* comm : {"postgres", "vacuum", "rocksdb:low"}) {
+    EXPECT_EQ(*store.Count(kIndex, Query::Term("comm", comm)),
+              *model.Count(kIndex, Query::Term("comm", comm)))
+        << step << ": comm " << comm;
+  }
+}
+
+TEST(SegmentRetentionTest, TrimmedTailsMatchReferenceModel) {
+  for (const std::size_t segment_docs : {64u, 0u}) {
+    SCOPED_TRACE("segment_docs=" + std::to_string(segment_docs));
+    ElasticStoreOptions options;
+    options.shards_per_index = 2;
+    options.segment_docs = segment_docs;
+    ElasticStore store(options);
+    testing::ReferenceStore model;
+    int docnum = 0;
+    const auto ingest = [&](int count) {
+      std::vector<tracer::WireEvent> batch;
+      Random gen(7000 + static_cast<std::uint64_t>(docnum));
+      for (int i = 0; i < count; ++i) {
+        batch.push_back(MakeWire(gen, docnum + i));
+      }
+      docnum += count;
+      store.BulkWire(kIndex, kSession, batch);
+      model.BulkWire(kIndex, kSession, batch);
+      store.Refresh(kIndex);
+      model.Refresh(kIndex);
+    };
+    const auto update = [&](const Query& query,
+                            const std::function<bool(Json&)>& fn) {
+      auto got = store.UpdateByQuery(kIndex, query, fn);
+      auto want = model.UpdateByQuery(kIndex, query, fn);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(*got, *want);
+    };
+    // Trims, then checks that the index holds exactly its rows; that the
+    // slot rows copied (every unsealed row when the tails had slack, none
+    // when their slots were already exact) were counted; that column bytes
+    // fell (lookup maps and dictionary slack gone) exactly when a tail
+    // needed trimming; and that a second trim changes nothing. Then
+    // compares every read with the model.
+    const auto trim = [&](const std::string& step, bool expect_trim) {
+      const IndexStats before = *store.Stats(kIndex);
+      const std::size_t copied = store.TrimTails(kIndex);
+      const IndexStats after = *store.Stats(kIndex);
+      const std::size_t unsealed =
+          after.doc_count - after.sealed_segments * segment_docs;
+      const bool slack = before.column_slots > before.doc_count;
+      EXPECT_EQ(copied, slack ? unsealed : 0u) << step;
+      EXPECT_EQ(after.column_rows_written,
+                before.column_rows_written + copied)
+          << step;
+      EXPECT_EQ(after.column_slots, after.doc_count) << step;
+      if (expect_trim) {
+        EXPECT_LT(after.column_bytes, before.column_bytes) << step;
+      } else {
+        EXPECT_EQ(after.column_bytes, before.column_bytes) << step;
+      }
+      EXPECT_EQ(after.doc_count, before.doc_count) << step;
+      EXPECT_EQ(store.TrimTails(kIndex), 0u) << step << ": second trim";
+      EXPECT_EQ(store.Stats(kIndex)->column_bytes, after.column_bytes)
+          << step << ": second trim";
+      ExpectSameAnswers(store, model, docnum, step);
+    };
+
+    EXPECT_EQ(store.TrimTails(kIndex), 0u);  // no such index yet
+    ASSERT_TRUE(store.CreateIndex(kIndex).ok());
+    EXPECT_EQ(store.TrimTails(kIndex), 0u);  // an index with no segments
+
+    // Mid-growth: 7 rows per shard, the tail regrown past its first buffer
+    // of 5 slots (to 10 slots, or 16 on the level ladder below 64).
+    ingest(10);
+    ingest(4);
+    ASSERT_GT(store.Stats(kIndex)->column_slots, 14u);
+    trim("mid-growth", true);
+
+    // 64 rows per shard: at segment_docs 64 every block has sealed and
+    // there is no tail left to trim.
+    ingest(114);
+    trim("no tail", segment_docs == 0);
+
+    // Right after a seal: a fresh three-row tail per shard.
+    ingest(6);
+    trim("right after a seal", true);
+    // An update-by-query rewriting every row rebuilds the maps it interns
+    // through and drops them again: the tails stay exact, and a trim finds
+    // nothing to take.
+    update(Query::MatchAll(), [](Json& doc) {
+      doc.Set("seen", true);
+      return true;
+    });
+    const std::uint64_t rewritten = store.Stats(kIndex)->column_bytes;
+    EXPECT_EQ(store.TrimTails(kIndex), 0u);
+    EXPECT_EQ(store.Stats(kIndex)->column_bytes, rewritten);
+    ExpectSameAnswers(store, model, docnum, "every row rewritten");
+
+    // The stream goes on: the trimmed tails regrow, and update-by-query
+    // rewrites rows in sealed blocks and in the tails. Odd rows get a comm
+    // the blocks already hold, even rows one they have never seen.
+    ingest(50);
+    ExpectSameAnswers(store, model, docnum, "appended after the trim");
+    update(Query::Term("syscall", "fsync"), [](Json& doc) {
+      if (doc.Has("correlated")) return false;
+      doc.Set("correlated", true);
+      return true;
+    });
+    update(Query::Range("time_enter", std::nullopt, 1'000 + 7 * 40),
+           [](Json& doc) {
+             doc.Set("comm", doc.GetInt("time_enter") % 2 == 1 ? "postgres"
+                                                               : "vacuum");
+             return true;
+           });
+    ExpectSameAnswers(store, model, docnum, "updated after the trim");
+    ingest(17);
+    trim("after the updates", true);
+    ingest(9);
+    ExpectSameAnswers(store, model, docnum, "appended after the last trim");
+  }
+}
+
+// A sealed block keeps no string -> ordinal maps. An update-by-query that
+// rewrites one of its rows must rebuild them from the dictionary rather
+// than start empty: a string the block already holds keeps its ordinal, a
+// new string gets the next one, and no string enters the dictionary twice.
+TEST(SegmentRetentionTest, UpdateOnSealedBlockReusesItsOrdinals) {
+  SegmentedColumns segments(8, 8);
+  StageRows(&segments, Rows("a", 12, /*with_g=*/true));
+  ColumnSegment& block = *segments.segments().front();
+  ASSERT_TRUE(block.sealed);
+  // Eight rows with eight distinct strings: slots, dictionary and no map.
+  EXPECT_TRUE(block.columns.exact());
+  EXPECT_FALSE(segments.segments().back()->columns.exact());
+
+  const DocValueColumn& s = *block.columns.Find("s");
+  ASSERT_EQ(s.dict().size(), 8u);
+  const std::int64_t a3 = s.ints()[3];
+  // What the store's update-by-query does to a rewritten row.
+  Json existing = Json::MakeObject();
+  existing.Set("s", Json("a3"));
+  Json fresh = Json::MakeObject();
+  fresh.Set("s", Json("new"));
+  block.columns.ReplaceRow(1, existing);
+  block.columns.ReplaceRow(2, fresh);
+  block.columns.FinishBatch();
+
+  EXPECT_EQ(s.ints()[1], a3);
+  EXPECT_EQ(s.str(1), "a3");
+  EXPECT_EQ(s.ints()[2], 8);
+  EXPECT_EQ(s.str(2), "new");
+  ASSERT_EQ(s.dict().size(), 9u);
+  const std::set<std::string> unique(s.dict().begin(), s.dict().end());
+  EXPECT_EQ(unique.size(), s.dict().size());
+  EXPECT_EQ(s.Ordinal("a3"), std::optional<std::uint32_t>(3));
+  EXPECT_EQ(s.Ordinal("new"), std::optional<std::uint32_t>(8));
+  // The rewritten rows lost their "g" cells; the others kept theirs.
+  EXPECT_EQ(block.columns.Find("g")->kind(1), ValueKind::kMissing);
+  EXPECT_EQ(block.columns.Find("g")->ints()[0], 100);
+}
+
+// A build that extends a tail holding no string -> ordinal map (a trimmed
+// tail) rebuilds one of its own, and a build that seals the tail it
+// extends drops the map it shares with the published tail. Dropping
+// either build unpublished must still leave the list indistinguishable
+// from a twin that never saw it: no stale ordinal for a later string.
+TEST(SegmentRetentionTest, DroppedBuildAroundDroppedMapsLeavesTheTailIntact) {
+  SegmentedColumns dropped(64, 8);
+  SegmentedColumns reference(64, 8);
+  for (SegmentedColumns* segments : {&dropped, &reference}) {
+    StageRows(segments, Rows("a", 10, /*with_g=*/true));
+  }
+  const std::vector<Json> next = [] {
+    std::vector<Json> docs;
+    for (const char* value : {"y0", "x0", "a1", "x1"}) {
+      Json doc = Json::MakeObject();
+      doc.Set("s", Json(value));
+      docs.push_back(std::move(doc));
+    }
+    return docs;
+  }();
+
+  // The published tail has a map; a dropped build seals its extension at
+  // 64 rows (Finish drops the extension's map) and is never committed.
+  {
+    StagedSegmentBuild build(dropped, 60);
+    for (const Json& doc : Rows("x", 60, /*with_g=*/false)) {
+      build.PrepareRow();
+      build.tail().AppendDoc(doc);
+    }
+    build.Finish();
+  }
+  for (SegmentedColumns* segments : {&dropped, &reference}) {
+    StageRows(segments, next);
+  }
+  EXPECT_EQ(DumpSegments(dropped), DumpSegments(reference));
+
+  // Trim both tails (no map left), then drop a build that rebuilt a map of
+  // its own while interning new strings.
+  for (SegmentedColumns* segments : {&dropped, &reference}) {
+    std::size_t copied = 0;
+    std::shared_ptr<ColumnSegment> trimmed = segments->TrimmedTail(&copied);
+    ASSERT_NE(trimmed, nullptr);
+    EXPECT_EQ(copied, trimmed->rows());
+    EXPECT_EQ(trimmed->columns.capacity(), trimmed->rows());
+    EXPECT_TRUE(trimmed->columns.exact());
+    segments->ReplaceTail(std::move(trimmed));
+    EXPECT_EQ(segments->TrimmedTail(&copied), nullptr);
+    EXPECT_EQ(copied, 0u);
+  }
+  StageRows(&dropped, Rows("z", 30, /*with_g=*/true), /*publish=*/false);
+  for (SegmentedColumns* segments : {&dropped, &reference}) {
+    StageRows(segments, Rows("z", 3, /*with_g=*/false));
+    StageRows(segments, next);
+  }
+  EXPECT_EQ(DumpSegments(dropped), DumpSegments(reference));
+  const DocValueColumn* s = dropped.segments().back()->columns.Find("s");
+  ASSERT_NE(s, nullptr);
+  EXPECT_FALSE(s->Ordinal("z3").has_value());
+  const std::set<std::string> unique(s->dict().begin(), s->dict().end());
+  EXPECT_EQ(unique.size(), s->dict().size());
 }
 
 }  // namespace

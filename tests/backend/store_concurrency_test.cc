@@ -209,11 +209,15 @@ TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
 // readers' feet. From batch kJsonFrom on, each refresh also brings two JSON
 // rows with a double-valued "lat_ms", so a tail's first double (and the
 // double array it allocates on demand) lands while readers sort and
-// aggregate on that field.
-// TSan must see no race between the build and readers walking the live
-// segment list, and every answer a reader gets must be byte-identical to
-// the same query against the reference model fed the stream up to the same
-// refresh.
+// aggregate on that field. End-of-stream trims race all of it: a trimmer
+// thread keeps calling TrimTails, and the writer itself trims after every
+// seventh batch, so exact tail copies are built beside the readers and
+// swapped in between refreshes, and the next refresh regrows a trimmed
+// tail from its exact capacity.
+// TSan must see no race between the build or the trim and readers walking
+// the live segment list, and every answer a reader gets must be
+// byte-identical to the same query against the reference model fed the
+// stream up to the same refresh.
 TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   ElasticStoreOptions options;
   options.shards_per_index = 4;
@@ -340,6 +344,8 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   ElasticStore store(options);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> visible{0};
+  // Rows copied by either thread's trims.
+  std::atomic<std::size_t> trimmed{0};
 
   std::thread writer([&] {
     for (int b = 0; b < kBatches; ++b) {
@@ -350,8 +356,15 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
         // cached bitmaps; only the touched segments may drop caches.
         EXPECT_TRUE(flag_fsyncs(store).ok());
       }
+      if (b % 7 == 3) trimmed.fetch_add(store.TrimTails("seg"));
     }
     stop.store(true);
+  });
+  std::thread trimmer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      trimmed.fetch_add(store.TrimTails("seg"));
+      std::this_thread::yield();
+    }
   });
 
   std::vector<std::thread> readers;
@@ -408,9 +421,11 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   }
 
   writer.join();
+  trimmer.join();
   for (std::thread& reader : readers) reader.join();
 
   EXPECT_GT(compared.load(), 0u);
+  EXPECT_GT(trimmed.load(), 0u);
   EXPECT_EQ(*store.Count("seg", Query::MatchAll()), kTotalDocs);
   auto stats = store.Stats("seg");
   ASSERT_TRUE(stats.ok());
@@ -424,6 +439,14 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   EXPECT_EQ(stats->refreshes, static_cast<std::uint64_t>(kBatches));
   // The tails regrew on the way to each seal.
   EXPECT_GT(stats->column_rows_written, kTotalDocs);
+  // A last trim leaves exactly the rows, with the same answers.
+  (void)store.TrimTails("seg");
+  stats = store.Stats("seg");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->column_slots, kTotalDocs);
+  std::size_t docs = 0;
+  EXPECT_EQ(sorted_window(store, &docs), expected_window.at(kTotalDocs));
+  EXPECT_EQ(path_terms(store, &docs), expected_terms.at(kTotalDocs));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "backend/bulk_client.h"
 #include "backend/typed_ingest.h"
 #include "common/random.h"
 #include "support/reference_store.h"
@@ -281,6 +282,120 @@ TEST(ColumnBytesTest, TypedWalfsyncRowsPayOnlyForTheirCells) {
     EXPECT_FALSE(columns.Find(field)->has_doubles()) << field;
     EXPECT_EQ(columns.Find(field)->size(), columns.num_docs()) << field;
   });
+}
+
+// Memory gate for a finished stream: a burst_walfsync-shaped session
+// (16,384 walfsync rows over four refreshes, then 128 more, then the
+// end-of-stream BulkClient::Flush) leaves each sub-shard with 4,128 rows.
+// Regrowth left those tails in 8,192-slot buffers; after the flush's trim
+// every tail holds exactly its rows, and the index's column bytes per row
+// are within 1.1x of a store that took all the rows in one refresh. Without
+// the trim the same stream holds about twice that.
+TEST(ColumnBytesTest, FlushedBurstHoldsExactlyItsRows) {
+  constexpr std::size_t kBurst = 16'384;
+  constexpr std::size_t kProbes = 128;
+  constexpr std::size_t kRefreshes = 4;
+  const std::vector<tracer::WireEvent> events = trace::GenerateCorpusEvents(
+      trace::CorpusClass::kWalFsync, kBurst + kProbes, 7);
+
+  ElasticStore burst;
+  BulkClientOptions options;
+  options.network_latency_ns = 0;
+  options.refresh_every_batches = 0;
+  BulkClient client(&burst, "wal", options);
+  const auto submit = [&client, &events](std::size_t first, std::size_t last) {
+    transport::EventBatch batch;
+    batch.session = "walfsync";
+    batch.wire.assign(events.begin() + static_cast<std::ptrdiff_t>(first),
+                      events.begin() + static_cast<std::ptrdiff_t>(last));
+    ASSERT_TRUE(client.Submit(std::move(batch)).ok());
+  };
+  constexpr std::size_t kChunk = kBurst / kRefreshes;
+  for (std::size_t r = 0; r < kRefreshes; ++r) {
+    submit(r * kChunk, (r + 1) * kChunk);
+    burst.Refresh("wal");
+  }
+  submit(kBurst, kBurst + kProbes);
+  burst.Refresh("wal");
+  const IndexStats grown = *burst.Stats("wal");
+  client.Flush();
+  auto stats = burst.Stats("wal");
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->doc_count, kBurst + kProbes);
+  ASSERT_EQ(stats->sealed_segments, 0u);
+  // The stream did leave growth slack, and the flush took all of it.
+  EXPECT_GT(grown.column_slots, grown.doc_count);
+  EXPECT_EQ(stats->column_slots, stats->doc_count);
+  EXPECT_EQ(stats->column_rows_written,
+            grown.column_rows_written + stats->doc_count);
+
+  ElasticStore single;
+  single.BulkWire("wal", "walfsync", events);
+  single.Refresh("wal");
+  auto exact = single.Stats("wal");
+  ASSERT_TRUE(exact.ok());
+  ASSERT_EQ(exact->column_slots, exact->doc_count);
+  const double rows = static_cast<double>(stats->doc_count);
+  const double burst_per_row = static_cast<double>(stats->column_bytes) / rows;
+  const double exact_per_row = static_cast<double>(exact->column_bytes) / rows;
+  EXPECT_LE(burst_per_row, 1.1 * exact_per_row)
+      << "flushed burst " << burst_per_row << " B/row, single refresh "
+      << exact_per_row << " B/row";
+}
+
+// An empty bool query, or one whose only clause is an empty should, has
+// no clause a document could fail, so it matches every document — what
+// Elasticsearch's BoolQueryBuilder answers with match_all. The store holds
+// that on JSON rows and typed rows, and on an index of either alone.
+TEST_F(StoreTest, EmptyBoolMatchesEveryDocument) {
+  std::vector<tracer::WireEvent> records(6);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].nr = static_cast<std::uint8_t>(os::SyscallNr::kWrite);
+    records[i].phase = 2;
+    records[i].time_enter = static_cast<std::int64_t>(i);
+  }
+  Seed("json", 5);
+  store_.BulkWire("typed", "s", records);
+  store_.Refresh("typed");
+  Seed("mixed", 5);
+  store_.BulkWire("mixed", "s", records);
+  store_.Refresh("mixed");
+
+  for (const char* body : {R"({"bool": {}})", R"({"bool": {"should": []}})",
+                           R"({"bool": {"should": [], "must": []}})"}) {
+    auto query = Query::FromJsonText(body);
+    ASSERT_TRUE(query.ok()) << body;
+    for (const auto& [index, rows] :
+         {std::pair<const char*, std::size_t>{"json", 5}, {"typed", 6},
+          {"mixed", 11}}) {
+      EXPECT_EQ(*store_.Count(index, *query), rows) << body << " on " << index;
+      SearchRequest request;
+      request.query = *query;
+      request.size = 20;
+      auto hits = store_.Search(index, request);
+      ASSERT_TRUE(hits.ok());
+      EXPECT_EQ(hits->total, rows) << body << " on " << index;
+    }
+  }
+}
+
+// The reference model gives the same answer as the store: its matcher,
+// Query::Matches, treats an empty bool and an empty should as match_all.
+TEST(ReferenceStoreTest, EmptyBoolMatchesEveryDocument) {
+  testing::ReferenceStore model;
+  std::vector<Json> docs;
+  for (int i = 0; i < 4; ++i) {
+    docs.push_back(Event(i % 2 == 0 ? "read" : "write", i, i, 0));
+  }
+  docs.push_back(Json::MakeObject());
+  model.Bulk("m", std::move(docs));
+  model.Refresh("m");
+  for (const char* body : {R"({"bool": {}})", R"({"bool": {"should": []}})"}) {
+    auto query = Query::FromJsonText(body);
+    ASSERT_TRUE(query.ok()) << body;
+    EXPECT_EQ(*model.Count("m", *query), 5u) << body;
+    EXPECT_TRUE(query->Matches(Json::MakeObject())) << body;
+  }
 }
 
 TEST_F(StoreTest, AggregateTermsWithSubHistogram) {

@@ -286,6 +286,48 @@ TEST_F(ServiceTest, SessionInfoCarriesTransportCounters) {
   EXPECT_GE(j.GetInt("column_bytes"), 9 * indexed);
 }
 
+// A stopped session's index holds exactly its rows: the end-of-stream
+// flush trimmed the tails that a refresh per batch regrew, so session
+// info's column_bytes per indexed row is within 1.1x of the same rows laid
+// out exactly (one refresh into a fresh store, then trimmed).
+TEST_F(ServiceTest, StoppedSessionColumnsHoldExactlyItsRows) {
+  DioService service(&env_.kernel, &store_);
+  backend::BulkClientOptions client = FastClient();
+  client.refresh_every_batches = 1;
+  ASSERT_TRUE(service.StartSession(Options("exact"), "", client).ok());
+  DoIo(3000);
+  ASSERT_TRUE(service.StopSession("exact").ok());
+  auto info = service.GetSession("exact");
+  ASSERT_TRUE(info.ok());
+  auto stats = store_.Stats("exact");
+  ASSERT_TRUE(stats.ok());
+  ASSERT_GT(stats->doc_count, 3000u);
+  EXPECT_GT(stats->refreshes, 4u);
+  EXPECT_EQ(stats->column_slots, stats->doc_count);
+
+  backend::SearchRequest all;
+  all.size = std::numeric_limits<std::size_t>::max();
+  auto hits = store_.Search("exact", all);
+  ASSERT_TRUE(hits.ok());
+  std::vector<Json> docs;
+  for (const backend::Hit& hit : hits->hits) docs.push_back(hit.source);
+  backend::ElasticStore exact;
+  exact.Bulk("exact", std::move(docs));
+  exact.Refresh("exact");
+  exact.TrimTails("exact");
+  auto exact_stats = exact.Stats("exact");
+  ASSERT_TRUE(exact_stats.ok());
+  ASSERT_EQ(exact_stats->doc_count, stats->doc_count);
+  const double rows = static_cast<double>(stats->doc_count);
+  const double session_per_row =
+      static_cast<double>(info->ToJson().GetInt("column_bytes")) / rows;
+  const double exact_per_row =
+      static_cast<double>(exact_stats->column_bytes) / rows;
+  EXPECT_LE(session_per_row, 1.1 * exact_per_row)
+      << "session " << session_per_row << " B/row, exact " << exact_per_row
+      << " B/row";
+}
+
 TEST_F(ServiceTest, BadTransportConfigRejectedAtStart) {
   DioService service(&env_.kernel, &store_);
   auto config = Config::ParseString(
